@@ -8,15 +8,13 @@ condenses a register into counts and ratios.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .classify import ClassificationSet, Tier
+from .classify import ClassificationSet
 from .concepts import ISSRMConcept
 from .errors import PropagationSeedError, UnknownElementError
 from .eamodel import normalize_name
-from .mappings import target_concepts
-from .register import RiskRegister
+from .register import CriterionSpec, RiskRegister
 from . import recordio
 
 __all__ = [
@@ -32,18 +30,6 @@ __all__ = [
     "render_coverage_text",
     "render_coverage_records",
 ]
-
-
-def _definite(classification: ClassificationSet, concept: ISSRMConcept) -> set[str]:
-    out: set[str] = set()
-    for fact in classification.facts:
-        if fact.tier is Tier.DEFINITE and concept in _concepts(fact):
-            out.add(fact.element_id)
-    return out
-
-
-def _concepts(fact) -> frozenset[ISSRMConcept]:
-    return target_concepts(fact.target)
 
 
 def impact_propagation(
@@ -62,9 +48,7 @@ def impact_propagation(
     Seeds must exist and be classified definite ISAsset.
     """
     model = classification.model
-    is_assets = _definite(classification, ISSRMConcept.IS_ASSET)
-    business = _definite(classification, ISSRMConcept.BUSINESS_ASSET)
-
+    is_assets = classification.definite_elements(ISSRMConcept.IS_ASSET)
     for seed in seeds:
         if seed not in model:
             raise UnknownElementError(f"unknown element id {seed!r}")
@@ -72,12 +56,20 @@ def impact_propagation(
             raise PropagationSeedError(
                 f"seed {seed!r} is not classified as a definite IS asset"
             )
+    return _propagate(*_propagation_edges(classification, allowed_kinds), seeds)
+
+
+def _propagation_edges(
+    classification: ClassificationSet, allowed_kinds: set[str] | None
+) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+    """(transit, terminal) adjacency: IS-to-IS and IS-to-business edges."""
+    is_assets = classification.definite_elements(ISSRMConcept.IS_ASSET)
+    business = classification.definite_elements(ISSRMConcept.BUSINESS_ASSET)
     if allowed_kinds is not None:
         allowed_kinds = {normalize_name(k) for k in allowed_kinds}
-
     transit: dict[str, set[str]] = {}
     terminal: dict[str, set[str]] = {}
-    for rel in model.relationships:
+    for rel in classification.model.relationships:
         if allowed_kinds is not None and rel.kind not in allowed_kinds:
             continue
         if rel.source not in is_assets:
@@ -86,8 +78,15 @@ def impact_propagation(
             transit.setdefault(rel.source, set()).add(rel.target)
         if rel.target in business:
             terminal.setdefault(rel.source, set()).add(rel.target)
+    return transit, terminal
 
-    # layered BFS with lexicographic-minimum witness paths per layer
+
+def _propagate(
+    transit: dict[str, set[str]],
+    terminal: dict[str, set[str]],
+    seeds: list[str] | tuple[str, ...],
+) -> dict[str, tuple[str, ...]]:
+    """Layered BFS with lexicographic-minimum witness paths per layer."""
     best: dict[str, tuple[str, ...]] = {}
     for seed in sorted(set(seeds)):
         best[seed] = (seed,)
@@ -147,13 +146,19 @@ def trace(
     case = register.risk(risk_id)
     classification = register.classification
     model = register.model
+    transit, terminal = _propagation_edges(classification, allowed_kinds)
+    is_assets = classification.definite_elements(ISSRMConcept.IS_ASSET)
+    criteria = {crit.id: crit for crit in register.criteria}
+    constraining: dict[str, list[CriterionSpec]] = {}
+    for crit in register.criteria:
+        for element_id in dict.fromkeys(crit.constrains):
+            constraining.setdefault(element_id, []).append(crit)
 
     def asset_node(element_id: str) -> TraceNode:
         element = model.element(element_id)
         children: list[TraceNode] = []
-        definite = classification.definite_concepts(element_id)
-        if ISSRMConcept.IS_ASSET in definite:
-            reached = impact_propagation(classification, [element_id], allowed_kinds)
+        if element_id in is_assets:
+            reached = _propagate(transit, terminal, [element_id])
             for target_id in sorted(reached):
                 children.append(business_node(target_id, reached[target_id]))
         return TraceNode("is_asset", element_id, element.name, tuple(children))
@@ -162,8 +167,7 @@ def trace(
         element = model.element(element_id)
         children = [
             TraceNode("criterion", crit.id, crit.name)
-            for crit in register.criteria
-            if element_id in crit.constrains
+            for crit in constraining.get(element_id, ())
         ]
         return TraceNode(
             "business_asset", element_id, element.name, tuple(children), path=path
@@ -195,7 +199,7 @@ def trace(
             element = model.element(element_id)
             impact_children.append(TraceNode("harmed_asset", element_id, element.name))
         for crit_id in impact.negated:
-            crit = next(c for c in register.criteria if c.id == crit_id)
+            crit = criteria[crit_id]
             impact_children.append(TraceNode("criterion", crit.id, crit.name))
         children.append(TraceNode("impact", "", impact.text, tuple(impact_children)))
     for treatment in case.treatments:
@@ -247,7 +251,7 @@ def _ratio(numerator: int, denominator: int) -> float:
 def coverage(register: RiskRegister) -> CoverageReport:
     """Count assets, risks and treatment chains for one register."""
     classification = register.classification
-    is_assets = _definite(classification, ISSRMConcept.IS_ASSET)
+    is_assets = classification.definite_elements(ISSRMConcept.IS_ASSET)
     with_vuln = {
         element_id
         for case in register.risks

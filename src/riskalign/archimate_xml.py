@@ -84,6 +84,19 @@ def _child_text(node: ET.Element, *names: str) -> str:
 _CAMEL = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
 
 
+def _one_line(text: str) -> str:
+    """Replace each line break with one space; model records are single-line."""
+    return text.replace("\r\n", " ").replace("\r", " ").replace("\n", " ")
+
+
+def _id_attr(node: ET.Element, *names: str) -> str:
+    """The first non-empty id attribute among names; ids cannot span lines."""
+    value = next(filter(None, map(node.get, names)), "")
+    if "\n" in value or "\r" in value:
+        raise ModelFormatError(f"{names[0]} {value!r} contains a line break")
+    return value
+
+
 def _relationship_kind(token: str) -> str:
     if token.endswith("Relationship"):
         token = token[: -len("Relationship")]
@@ -112,7 +125,7 @@ def import_archimate(data: str | bytes, source: str = "") -> EAModel:
         for node in container:
             if _local(node.tag) != "element":
                 continue
-            elem_id = node.get("identifier") or node.get("id") or ""
+            elem_id = _id_attr(node, "identifier", "id")
             if not elem_id:
                 raise ModelFormatError("element without an identifier attribute")
             token = _type_token(node)
@@ -124,9 +137,10 @@ def import_archimate(data: str | bytes, source: str = "") -> EAModel:
                 warnings.append(
                     f"unknown element type token {token!r} on {elem_id!r}"
                 )
-            name = _child_text(node, "name", "label")
+            name = _one_line(_child_text(node, "name", "label"))
             attrs = {
-                prop.get("key") or prop.get("name") or "": (prop.get("value") or "")
+                _one_line(prop.get("key") or prop.get("name") or ""):
+                    _one_line(prop.get("value") or "")
                 for child in node
                 if _local(child.tag) == "properties"
                 for prop in child
@@ -142,14 +156,14 @@ def import_archimate(data: str | bytes, source: str = "") -> EAModel:
         for node in container:
             if _local(node.tag) != "relationship":
                 continue
-            rel_id = node.get("identifier") or node.get("id") or ""
+            rel_id = _id_attr(node, "identifier", "id")
             if not rel_id:
                 raise ModelFormatError("relationship without an identifier attribute")
             token = _type_token(node)
             if not token:
                 raise ModelFormatError(f"relationship {rel_id!r} has no type")
-            src = node.get("source") or ""
-            dst = node.get("target") or ""
+            src = _id_attr(node, "source")
+            dst = _id_attr(node, "target")
             relationships.append(
                 EARelationship(rel_id, _relationship_kind(token), src, dst)
             )

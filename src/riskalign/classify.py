@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .concepts import ISSRMConcept, parse_concept
 from .eamodel import EAElement, EAModel
@@ -109,6 +110,10 @@ class ClassificationSet:
     Facts are ordered by element id then table row; unmapped and unknown are
     sorted element ids. Every model element lands in exactly one of: has a
     fact, unmapped, unknown.
+
+    The per-element lookups read an index built from the facts the first
+    time one is asked for, once per instance; dataclasses.replace gives a
+    new instance with a fresh index.
     """
 
     model: EAModel
@@ -119,19 +124,42 @@ class ClassificationSet:
     warnings: tuple[str, ...]
 
     def facts_for(self, element_id: str) -> tuple[ClassificationFact, ...]:
-        return tuple(f for f in self.facts if f.element_id == element_id)
+        return self._facts_by_element.get(element_id, ())
 
     def definite_concepts(self, element_id: str) -> frozenset[ISSRMConcept]:
         """Concepts this element definitely holds, composites included."""
-        out: set[ISSRMConcept] = set()
-        for fact in self.facts_for(element_id):
-            if fact.tier is Tier.DEFINITE:
-                out.update(_fact_concepts(fact))
-        return frozenset(out)
+        return self._definite_by_element.get(element_id, frozenset())
 
+    def definite_elements(self, concept: ISSRMConcept) -> frozenset[str]:
+        """Ids of the elements that definitely hold a concept."""
+        return self._definite_holders.get(concept, frozenset())
 
-def _fact_concepts(fact: ClassificationFact) -> frozenset[ISSRMConcept]:
-    return target_concepts(fact.target)
+    @cached_property
+    def _facts_by_element(self) -> dict[str, tuple[ClassificationFact, ...]]:
+        groups: dict[str, list[ClassificationFact]] = {}
+        for fact in self.facts:
+            groups.setdefault(fact.element_id, []).append(fact)
+        return {element_id: tuple(group) for element_id, group in groups.items()}
+
+    @cached_property
+    def _definite_by_element(self) -> dict[str, frozenset[ISSRMConcept]]:
+        return {
+            element_id: frozenset(
+                concept
+                for fact in group
+                if fact.tier is Tier.DEFINITE
+                for concept in target_concepts(fact.target)
+            )
+            for element_id, group in self._facts_by_element.items()
+        }
+
+    @cached_property
+    def _definite_holders(self) -> dict[ISSRMConcept, frozenset[str]]:
+        holders: dict[ISSRMConcept, set[str]] = {}
+        for element_id, concepts in self._definite_by_element.items():
+            for concept in concepts:
+                holders.setdefault(concept, set()).add(element_id)
+        return {concept: frozenset(ids) for concept, ids in holders.items()}
 
 
 def classify_model(ruleset: Ruleset, model: EAModel) -> ClassificationSet:
@@ -229,31 +257,31 @@ def apply_review(
     the subtype. Reject removes candidate facts. Anything else is a
     ReviewError.
     """
-    facts = list(classification.facts)
+    groups = {
+        element_id: list(group)
+        for element_id, group in classification._facts_by_element.items()
+    }
     for entry in overlay.entries:
         if entry.element_id not in classification.model:
             raise UnknownElementError(
                 f"review names unknown element id {entry.element_id!r}"
             )
+        group = groups.get(entry.element_id, [])
         exact_target = ConceptTarget(entry.concept)
-        exact = [
-            i
-            for i, f in enumerate(facts)
-            if f.element_id == entry.element_id and f.target == exact_target
-        ]
+        exact = [i for i, f in enumerate(group) if f.target == exact_target]
         if entry.verdict == "confirm":
-            promotable = [i for i in exact if facts[i].tier is Tier.CANDIDATE]
+            promotable = [i for i in exact if group[i].tier is Tier.CANDIDATE]
             if promotable:
                 for i in promotable:
-                    facts[i] = replace(facts[i], tier=Tier.DEFINITE, confirmed=True)
+                    group[i] = replace(group[i], tier=Tier.DEFINITE, confirmed=True)
                 continue
-            if any(facts[i].confirmed for i in exact):
+            if any(group[i].confirmed for i in exact):
                 continue  # idempotent re-confirmation
-            if _refine(facts, entry):
+            if _refine(group, entry):
                 continue
-            raise ReviewError(_confirm_error(classification, facts, entry, exact))
+            raise ReviewError(_confirm_error(group, entry, exact))
         else:
-            rejectable = [i for i in exact if facts[i].tier is Tier.CANDIDATE]
+            rejectable = [i for i in exact if group[i].tier is Tier.CANDIDATE]
             if not rejectable:
                 if exact:
                     raise ReviewError(
@@ -265,22 +293,20 @@ def apply_review(
                     "no matching fact"
                 )
             for i in sorted(rejectable, reverse=True):
-                del facts[i]
-    return replace(classification, facts=tuple(facts))
+                del group[i]
+    facts = tuple(fact for group in groups.values() for fact in group)
+    return replace(classification, facts=facts)
 
 
-def _refine(facts: list[ClassificationFact], entry: ReviewEntry) -> bool:
+def _refine(group: list[ClassificationFact], entry: ReviewEntry) -> bool:
+    """Refine the element's definite Asset facts to the entry's subtype."""
     if entry.concept not in _REFINABLE:
         return False
     asset_target = ConceptTarget(ISSRMConcept.ASSET)
     refined = False
-    for i, fact in enumerate(facts):
-        if (
-            fact.element_id == entry.element_id
-            and fact.target == asset_target
-            and fact.tier is Tier.DEFINITE
-        ):
-            facts[i] = replace(
+    for i, fact in enumerate(group):
+        if fact.target == asset_target and fact.tier is Tier.DEFINITE:
+            group[i] = replace(
                 fact, target=ConceptTarget(entry.concept), confirmed=True
             )
             refined = True
@@ -288,17 +314,14 @@ def _refine(facts: list[ClassificationFact], entry: ReviewEntry) -> bool:
 
 
 def _confirm_error(
-    classification: ClassificationSet,
-    facts: list[ClassificationFact],
-    entry: ReviewEntry,
-    exact: list[int],
+    group: list[ClassificationFact], entry: ReviewEntry, exact: list[int]
 ) -> str:
     if exact:
         return (
             f"cannot confirm ({entry.element_id}, {entry.concept}); "
             "the fact is already definite without review"
         )
-    if not any(f.element_id == entry.element_id for f in facts):
+    if not group:
         return f"element {entry.element_id!r} has no classification facts"
     return (
         f"no candidate fact ({entry.element_id}, {entry.concept}) to confirm"

@@ -159,11 +159,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_text(path: str) -> str:
+    """Read a UTF-8 file, translating \\r\\n and \\r line ends to \\n."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"cannot read {path}: not valid UTF-8 at byte offset {exc.start}"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _load_model(path: str) -> EAModel:

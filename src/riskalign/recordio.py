@@ -31,6 +31,8 @@ def escape_item(value: str) -> str:
 
 def unescape(value: str) -> str:
     """Remove one level of backslash escaping."""
+    if "\\" not in value:
+        return value
     out: list[str] = []
     it = iter(value)
     for ch in it:
@@ -76,7 +78,8 @@ def iter_records(text: str) -> Iterator[tuple[int, list[str]]]:
 
     Records are newline delimited; a trailing "\\r" is tolerated so CRLF
     files parse. Blank lines and lines starting with "#" are skipped. Line
-    numbers are 1-based over the full text, comments included.
+    numbers are 1-based over the full text, comments included. A line with
+    no backslash has nothing to unescape, so str.split gives its fields.
     """
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -85,7 +88,7 @@ def iter_records(text: str) -> Iterator[tuple[int, list[str]]]:
         line = line.removesuffix("\r")
         if not line.strip() or line.startswith("#"):
             continue
-        yield lineno, split_record(line)
+        yield lineno, split_record(line) if "\\" in line else line.split("|")
 
 
 def format_attrs(attrs: dict[str, str]) -> str:
@@ -99,8 +102,8 @@ def parse_attrs(field: str, lineno: int | None = None) -> dict[str, str]:
     if not field:
         return {}
     attrs: dict[str, str] = {}
-    for item in split_escaped(field, ";"):
-        parts = split_escaped(item, "=")
+    for item in _split(field, ";"):
+        parts = _split(item, "=")
         if len(parts) != 2:
             raise LineError(f"malformed attribute {unescape(item)!r}", lineno)
         key, value = unescape(parts[0]), unescape(parts[1])
@@ -110,6 +113,11 @@ def parse_attrs(field: str, lineno: int | None = None) -> dict[str, str]:
             raise LineError(f"duplicate attribute key {key!r}", lineno)
         attrs[key] = value
     return attrs
+
+
+def _split(value: str, sep: str) -> list[str]:
+    """split_escaped, taking str.split when there is no escape to keep."""
+    return split_escaped(value, sep) if "\\" in value else value.split(sep)
 
 
 def _reject_newline(value: str) -> None:

@@ -26,6 +26,7 @@ Id lists are comma separated and may be empty.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .classify import ClassificationSet, Tier
 from .concepts import ASSET_KINDS, ISSRMConcept
@@ -104,10 +105,23 @@ class RiskRegister:
         return self.classification.model
 
     def risk(self, risk_id: str) -> RiskCase:
-        for case in self.risks:
-            if case.id == risk_id:
-                return case
-        raise UnknownRiskError(f"unknown risk id {risk_id!r}")
+        try:
+            return self._risks_by_id[risk_id]
+        except KeyError:
+            raise UnknownRiskError(f"unknown risk id {risk_id!r}") from None
+
+    @cached_property
+    def _risks_by_id(self) -> dict[str, RiskCase]:
+        return {case.id: case for case in self.risks}
+
+
+@dataclass
+class _Draft:
+    """A treatment or requirement whose REQ or CTRL children are still being read."""
+
+    id: str
+    text: str
+    children: list = field(default_factory=list)
 
 
 def _id_list(text: str) -> tuple[str, ...]:
@@ -124,8 +138,8 @@ def parse_risk_catalog(text: str, classification: ClassificationSet) -> RiskRegi
     model = classification.model
     risks: dict[str, RiskCase] = {}
     criteria: dict[str, CriterionSpec] = {}
-    treatments: dict[str, tuple[str, TreatmentSpec]] = {}  # id -> (risk id, spec)
-    requirements: dict[str, tuple[str, RequirementSpec]] = {}  # id -> (treatment, spec)
+    treatments: dict[str, tuple[str, _Draft]] = {}  # id -> (risk id, draft)
+    requirements: dict[str, _Draft] = {}
     declared: set[str] = set()
 
     def declare(record_id: str, lineno: int) -> None:
@@ -202,11 +216,9 @@ def parse_risk_catalog(text: str, classification: ClassificationSet) -> RiskRegi
             if len(fields) != 4:
                 raise CatalogFormatError("TREAT needs 4 fields", lineno)
             _, risk_id, treat_id, treat_text = fields
-            case = _case(risks, risk_id, lineno)
+            _case(risks, risk_id, lineno)
             declare(treat_id, lineno)
-            spec = TreatmentSpec(treat_id, treat_text)
-            case.treatments.append(spec)
-            treatments[treat_id] = (risk_id, spec)
+            treatments[treat_id] = (risk_id, _Draft(treat_id, treat_text))
         elif tag == "REQ":
             if len(fields) != 4:
                 raise CatalogFormatError("REQ needs 4 fields", lineno)
@@ -214,12 +226,8 @@ def parse_risk_catalog(text: str, classification: ClassificationSet) -> RiskRegi
             if treat_id not in treatments:
                 raise CatalogFormatError(f"unknown treatment id {treat_id!r}", lineno)
             declare(req_id, lineno)
-            risk_id, spec = treatments[treat_id]
-            new_req = RequirementSpec(req_id, req_text)
-            updated = _append_requirement(spec, new_req)
-            treatments[treat_id] = (risk_id, updated)
-            _swap_treatment(risks[risk_id], updated)
-            requirements[req_id] = (treat_id, new_req)
+            requirements[req_id] = _Draft(req_id, req_text)
+            treatments[treat_id][1].children.append(requirements[req_id])
         elif tag == "CTRL":
             if len(fields) != 4:
                 raise CatalogFormatError("CTRL needs 4 fields", lineno)
@@ -227,18 +235,18 @@ def parse_risk_catalog(text: str, classification: ClassificationSet) -> RiskRegi
             if req_id not in requirements:
                 raise CatalogFormatError(f"unknown requirement id {req_id!r}", lineno)
             declare(ctrl_id, lineno)
-            treat_id, req_spec = requirements[req_id]
-            new_req = RequirementSpec(
-                req_spec.id, req_spec.text, req_spec.controls + (ControlSpec(ctrl_id, ctrl_text),)
-            )
-            requirements[req_id] = (treat_id, new_req)
-            risk_id, treat_spec = treatments[treat_id]
-            updated = _swap_requirement(treat_spec, new_req)
-            treatments[treat_id] = (risk_id, updated)
-            _swap_treatment(risks[risk_id], updated)
+            requirements[req_id].children.append(ControlSpec(ctrl_id, ctrl_text))
         else:
             raise CatalogFormatError(f"unknown record tag {tag!r}", lineno)
 
+    for risk_id, draft in treatments.values():
+        requirement_specs = tuple(
+            RequirementSpec(req.id, req.text, tuple(req.children))
+            for req in draft.children
+        )
+        risks[risk_id].treatments.append(
+            TreatmentSpec(draft.id, draft.text, requirement_specs)
+        )
     return RiskRegister(
         classification=classification,
         risks=tuple(risks.values()),
@@ -251,21 +259,6 @@ def _case(risks: dict[str, RiskCase], risk_id: str, lineno: int) -> RiskCase:
         return risks[risk_id]
     except KeyError:
         raise CatalogFormatError(f"unknown risk id {risk_id!r}", lineno) from None
-
-
-def _append_requirement(spec: TreatmentSpec, req: RequirementSpec) -> TreatmentSpec:
-    return TreatmentSpec(spec.id, spec.text, spec.requirements + (req,))
-
-
-def _swap_requirement(spec: TreatmentSpec, req: RequirementSpec) -> TreatmentSpec:
-    reqs = tuple(req if r.id == req.id else r for r in spec.requirements)
-    return TreatmentSpec(spec.id, spec.text, reqs)
-
-
-def _swap_treatment(case: RiskCase, treatment: TreatmentSpec) -> None:
-    case.treatments = [
-        treatment if t.id == treatment.id else t for t in case.treatments
-    ]
 
 
 # --- induced graph and validation --------------------------------------------------

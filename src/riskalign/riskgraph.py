@@ -244,6 +244,8 @@ def validate_structure(graph: RiskGraph) -> list[Violation]:
 
     # Valid part_of edges feeding each composite, by part concept.
     parts: dict[str, list[Entity]] = {eid: [] for eid in entities}
+    in_event: set[str] = set()  # entities part_of some event
+    characterizes: set[str] = set()  # sources of characteristic_of edges
 
     for rel in graph.relations:
         subjects = _relation_subjects(rel)
@@ -257,7 +259,11 @@ def validate_structure(graph: RiskGraph) -> list[Violation]:
                 f"{rel.kind} endpoint {missing!r} is not an entity in the graph",
             )
             continue
+        if rel.kind is RelationKind.CHARACTERISTIC_OF:
+            characterizes.add(src.id)
         if rel.kind is RelationKind.PART_OF:
+            if dst.concept is ISSRMConcept.EVENT:
+                in_event.add(src.id)
             if (src.concept, dst.concept) in PART_OF_PAIRS:
                 parts[dst.id].append(src)
             else:
@@ -282,16 +288,6 @@ def validate_structure(graph: RiskGraph) -> list[Violation]:
                 f"{rel.kind} target must be "
                 f"{_kinds_label(target_kinds)}, got {dst.concept}",
             )
-
-    characteristic_counts: dict[str, int] = {}
-    for rel in graph.relations:
-        if rel.kind is RelationKind.CHARACTERISTIC_OF:
-            src = entities.get(rel.source)
-            dst = entities.get(rel.target)
-            if src is not None and dst is not None:
-                characteristic_counts[rel.source] = (
-                    characteristic_counts.get(rel.source, 0) + 1
-                )
 
     for ent in entities.values():
         if ent.concept is ISSRMConcept.ATTRIBUTE_ANNOTATION:
@@ -331,9 +327,7 @@ def validate_structure(graph: RiskGraph) -> list[Violation]:
                 emit("THR_MULTI_AGENT", (ent.id,), "threat has more than one agent part")
             if len(methods) > 1:
                 emit("THR_MULTI_METHOD", (ent.id,), "threat has more than one method part")
-            if _is_part_of_some(graph, ent.id, ISSRMConcept.EVENT) and (
-                not agents or not methods
-            ):
+            if ent.id in in_event and (not agents or not methods):
                 emit(
                     "THR_INCOMPLETE",
                     (ent.id,),
@@ -341,9 +335,7 @@ def validate_structure(graph: RiskGraph) -> list[Violation]:
                 )
 
         elif ent.concept is ISSRMConcept.VULNERABILITY:
-            if _is_part_of_some(graph, ent.id, ISSRMConcept.EVENT) and (
-                characteristic_counts.get(ent.id, 0) == 0
-            ):
+            if ent.id in in_event and ent.id not in characterizes:
                 emit(
                     "VULN_NO_ISASSET",
                     (ent.id,),
@@ -351,16 +343,6 @@ def validate_structure(graph: RiskGraph) -> list[Violation]:
                 )
 
     return sorted(found, key=Violation.sort_key)
-
-
-def _is_part_of_some(graph: RiskGraph, entity_id: str, whole: ISSRMConcept) -> bool:
-    for rel in graph.relations:
-        if rel.kind is not RelationKind.PART_OF or rel.source != entity_id:
-            continue
-        dst = graph.entity(rel.target)
-        if dst is not None and dst.concept is whole:
-            return True
-    return False
 
 
 def _kinds_label(kinds: frozenset[ISSRMConcept]) -> str:

@@ -2,17 +2,37 @@
 
 Deliberately different algorithms and data structures from the library:
 priority-queue search instead of layered BFS, exhaustive path enumeration
-for small graphs, and plain recounting for coverage.
+for small graphs, and plain recounting for coverage. The scans the library
+replaced with indexes live on here as references: per-lookup fact scans,
+list-scanning review, relation rescans for part_of, and one full
+impact_propagation per traced IS asset.
 """
 
+import dataclasses
 import heapq
 import random
 from collections import defaultdict
 
-from riskalign.classify import Tier
+from riskalign.analysis import TraceNode, impact_propagation, trace
+from riskalign.classify import (
+    ClassificationSet,
+    ReviewEntry,
+    ReviewOverlay,
+    Tier,
+    apply_review,
+    classify_model,
+)
 from riskalign.concepts import ISSRMConcept
 from riskalign.eamodel import EAElement, EAModel, EARelationship, normalize_name
-from riskalign.mappings import target_concepts
+from riskalign.errors import (
+    InputError,
+    ReviewError,
+    UnknownElementError,
+    UnknownRiskError,
+)
+from riskalign.mappings import ConceptTarget, target_concepts
+from riskalign.register import induced_graph, parse_risk_catalog, validate_register
+from riskalign.riskgraph import RelationKind, Violation, validate_structure
 
 
 def definite_set(classification, concept):
@@ -139,25 +159,273 @@ def recount_coverage(register):
     }
 
 
+# --- the scans the classification index replaced ----------------------------------
+
+
+class ScanningClassification(ClassificationSet):
+    """A ClassificationSet whose lookups rescan every fact on each call."""
+
+    def facts_for(self, element_id):
+        return tuple(f for f in self.facts if f.element_id == element_id)
+
+    def definite_concepts(self, element_id):
+        out = set()
+        for fact in self.facts_for(element_id):
+            if fact.tier is Tier.DEFINITE:
+                out.update(target_concepts(fact.target))
+        return frozenset(out)
+
+    def definite_elements(self, concept):
+        return frozenset(definite_set(self, concept))
+
+
+def scanning(classification):
+    fields = dataclasses.fields(ClassificationSet)
+    return ScanningClassification(
+        **{f.name: getattr(classification, f.name) for f in fields}
+    )
+
+
+_REFINABLE = {ISSRMConcept.BUSINESS_ASSET, ISSRMConcept.IS_ASSET}
+
+
+def apply_review_scan(classification, overlay):
+    """apply_review over one flat fact list, rescanned per overlay entry."""
+    facts = list(classification.facts)
+    for entry in overlay.entries:
+        if entry.element_id not in classification.model:
+            raise UnknownElementError(
+                f"review names unknown element id {entry.element_id!r}"
+            )
+        exact_target = ConceptTarget(entry.concept)
+        exact = [
+            i
+            for i, f in enumerate(facts)
+            if f.element_id == entry.element_id and f.target == exact_target
+        ]
+        if entry.verdict == "confirm":
+            promotable = [i for i in exact if facts[i].tier is Tier.CANDIDATE]
+            if promotable:
+                for i in promotable:
+                    facts[i] = dataclasses.replace(
+                        facts[i], tier=Tier.DEFINITE, confirmed=True
+                    )
+                continue
+            if any(facts[i].confirmed for i in exact):
+                continue
+            if _refine_scan(facts, entry):
+                continue
+            raise ReviewError(_confirm_error_scan(facts, entry, exact))
+        rejectable = [i for i in exact if facts[i].tier is Tier.CANDIDATE]
+        if not rejectable:
+            reason = (
+                "only candidate facts can be rejected" if exact else "no matching fact"
+            )
+            raise ReviewError(
+                f"cannot reject ({entry.element_id}, {entry.concept}); {reason}"
+            )
+        for i in sorted(rejectable, reverse=True):
+            del facts[i]
+    return dataclasses.replace(classification, facts=tuple(facts))
+
+
+def _refine_scan(facts, entry):
+    if entry.concept not in _REFINABLE:
+        return False
+    asset_target = ConceptTarget(ISSRMConcept.ASSET)
+    refined = False
+    for i, fact in enumerate(facts):
+        if (
+            fact.element_id == entry.element_id
+            and fact.target == asset_target
+            and fact.tier is Tier.DEFINITE
+        ):
+            facts[i] = dataclasses.replace(
+                fact, target=ConceptTarget(entry.concept), confirmed=True
+            )
+            refined = True
+    return refined
+
+
+def _confirm_error_scan(facts, entry, exact):
+    if exact:
+        return (
+            f"cannot confirm ({entry.element_id}, {entry.concept}); "
+            "the fact is already definite without review"
+        )
+    if not any(f.element_id == entry.element_id for f in facts):
+        return f"element {entry.element_id!r} has no classification facts"
+    return f"no candidate fact ({entry.element_id}, {entry.concept}) to confirm"
+
+
+def is_part_of_some(graph, entity_id, whole):
+    """Whether any part_of relation leads from the entity to a `whole`."""
+    for rel in graph.relations:
+        if rel.kind is not RelationKind.PART_OF or rel.source != entity_id:
+            continue
+        dst = graph.entity(rel.target)
+        if dst is not None and dst.concept is whole:
+            return True
+    return False
+
+
+def event_part_findings(graph):
+    """THR_INCOMPLETE and VULN_NO_ISASSET by rescanning relations per entity."""
+
+    def has_part(whole_id, concept):
+        return any(
+            rel.kind is RelationKind.PART_OF
+            and rel.target == whole_id
+            and graph.entity(rel.source) is not None
+            and graph.entity(rel.source).concept is concept
+            for rel in graph.relations
+        )
+
+    def characterizes(entity_id):
+        return any(
+            rel.kind is RelationKind.CHARACTERISTIC_OF
+            and rel.source == entity_id
+            and graph.entity(rel.target) is not None
+            for rel in graph.relations
+        )
+
+    found = []
+    for ent in graph.entities.values():
+        if not is_part_of_some(graph, ent.id, ISSRMConcept.EVENT):
+            continue
+        if ent.concept is ISSRMConcept.THREAT and not (
+            has_part(ent.id, ISSRMConcept.THREAT_AGENT)
+            and has_part(ent.id, ISSRMConcept.ATTACK_METHOD)
+        ):
+            found.append(
+                Violation(
+                    "THR_INCOMPLETE",
+                    (ent.id,),
+                    "threat in an event lacks an agent or attack method",
+                )
+            )
+        if ent.concept is ISSRMConcept.VULNERABILITY and not characterizes(ent.id):
+            found.append(
+                Violation(
+                    "VULN_NO_ISASSET",
+                    (ent.id,),
+                    "vulnerability in an event is not a characteristic of any IS asset",
+                )
+            )
+    return sorted(found, key=Violation.sort_key)
+
+
+def trace_scan(register, risk_id, allowed_kinds=None):
+    """trace with one impact_propagation per IS asset and scanned lookups."""
+    case = next((c for c in register.risks if c.id == risk_id), None)
+    if case is None:
+        raise UnknownRiskError(f"unknown risk id {risk_id!r}")
+    classification = register.classification
+    model = register.model
+
+    def asset_node(element_id):
+        children = []
+        if ISSRMConcept.IS_ASSET in classification.definite_concepts(element_id):
+            reached = impact_propagation(classification, [element_id], allowed_kinds)
+            for target_id in sorted(reached):
+                criteria = tuple(
+                    TraceNode("criterion", crit.id, crit.name)
+                    for crit in register.criteria
+                    if target_id in crit.constrains
+                )
+                children.append(
+                    TraceNode(
+                        "business_asset",
+                        target_id,
+                        model.element(target_id).name,
+                        criteria,
+                        path=reached[target_id],
+                    )
+                )
+        return TraceNode(
+            "is_asset", element_id, model.element(element_id).name, tuple(children)
+        )
+
+    event_children = []
+    if case.threat is not None:
+        threat_children = []
+        if case.threat.agent:
+            threat_children.append(TraceNode("threat_agent", "", case.threat.agent))
+        if case.threat.method:
+            threat_children.append(TraceNode("attack_method", "", case.threat.method))
+        threat_children.extend(asset_node(t) for t in case.threat.targets)
+        flags = () if case.threat.agent and case.threat.method else ("INCOMPLETE",)
+        event_children.append(
+            TraceNode("threat", "", "threat", tuple(threat_children), flags)
+        )
+    for vuln in case.vulnerabilities:
+        anchors = tuple(asset_node(e) for e in vuln.elements)
+        event_children.append(TraceNode("vulnerability", "", vuln.text, anchors))
+
+    children = [
+        TraceNode(
+            "event", f"{case.id}::event", f"{case.name} event", tuple(event_children)
+        )
+    ]
+    for impact in case.impacts:
+        impact_children = [
+            TraceNode("harmed_asset", e, model.element(e).name) for e in impact.harmed
+        ]
+        for crit_id in impact.negated:
+            crit = next(c for c in register.criteria if c.id == crit_id)
+            impact_children.append(TraceNode("criterion", crit.id, crit.name))
+        children.append(TraceNode("impact", "", impact.text, tuple(impact_children)))
+    for treatment in case.treatments:
+        req_nodes = tuple(
+            TraceNode(
+                "requirement",
+                req.id,
+                req.text,
+                tuple(TraceNode("control", c.id, c.text) for c in req.controls),
+            )
+            for req in treatment.requirements
+        )
+        children.append(
+            TraceNode("treatment", treatment.id, treatment.text, req_nodes)
+        )
+    flags = () if case.treatments else ("UNTREATED",)
+    return TraceNode("risk", case.id, case.name, tuple(children), flags)
+
+
 # --- random inputs -------------------------------------------------------------------
 
-# togaf91 concepts by classification outcome: definite IS, definite business,
-# related-only, explicitly unmapped, and never mentioned.
-_CONCEPT_POOL = (
-    ["data entity"] * 4
-    + ["business service"] * 3
-    + ["principle", "event", "wormhole"]
-)
+# Concepts per framework by classification outcome. togaf91: definite IS,
+# definite business, related-only, explicitly unmapped, and never mentioned.
+# archimate21 adds what review acts on: a definite plain Asset to refine and
+# candidate Asset, SecurityCriterion, Risk and SecurityRequirement facts.
+_CONCEPT_POOLS = {
+    "togaf91": (
+        ["data entity"] * 4
+        + ["business service"] * 3
+        + ["principle", "event", "wormhole"]
+    ),
+    "archimate21": (
+        ["data object"] * 3
+        + ["device", "business service", "business service"]
+        + ["business object"] * 2
+        + ["principle", "driver", "assessment", "requirement"]
+        + ["stakeholder", "business event", "wormhole"]
+    ),
+}
 _KINDS = ("flow", "association", "realization")
 
 
-def random_model(rng: random.Random, max_elements: int = 20) -> EAModel:
-    count = rng.randint(2, max_elements)
-    elements = [EAElement("e0", "data entity", "seed element")]
+def random_model(
+    rng: random.Random,
+    max_elements: int = 20,
+    min_elements: int = 2,
+    framework: str = "togaf91",
+) -> EAModel:
+    pool = _CONCEPT_POOLS[framework]
+    count = rng.randint(min_elements, max_elements)
+    elements = [EAElement("e0", pool[0], "seed element")]
     for i in range(1, count):
-        elements.append(
-            EAElement(f"e{i}", rng.choice(_CONCEPT_POOL), f"element {i}")
-        )
+        elements.append(EAElement(f"e{i}", rng.choice(pool), f"element {i}"))
     ids = [e.id for e in elements]
     relationships = []
     for i in range(rng.randint(0, 2 * count)):
@@ -166,10 +434,50 @@ def random_model(rng: random.Random, max_elements: int = 20) -> EAModel:
                 f"r{i}", rng.choice(_KINDS), rng.choice(ids), rng.choice(ids)
             )
         )
-    return EAModel("togaf91", elements, relationships)
+    return EAModel(framework, elements, relationships)
 
 
-def random_register_text(rng: random.Random, model: EAModel) -> str:
+_REVIEW_CONCEPTS = (
+    ISSRMConcept.ASSET,
+    ISSRMConcept.BUSINESS_ASSET,
+    ISSRMConcept.IS_ASSET,
+    ISSRMConcept.RISK,
+    ISSRMConcept.SECURITY_CRITERION,
+    ISSRMConcept.SECURITY_REQUIREMENT,
+)
+
+
+def random_overlay(rng: random.Random, classification, max_entries: int = 8):
+    """Verdicts mostly on candidate facts and refinable Asset facts, the rest
+    on any element and concept, so every review branch gets exercised."""
+    candidates = [f for f in classification.facts if f.tier is Tier.CANDIDATE]
+    assets = [
+        f.element_id
+        for f in classification.facts
+        if f.tier is Tier.DEFINITE and f.target == ConceptTarget(ISSRMConcept.ASSET)
+    ]
+    ids = sorted(classification.model.elements)
+    entries = []
+    for _ in range(rng.randint(0, max_entries)):
+        roll = rng.random()
+        element_id = rng.choice(ids)
+        concept = rng.choice(_REVIEW_CONCEPTS)
+        if candidates and roll < 0.5:
+            fact = rng.choice(candidates)
+            element_id = fact.element_id
+            if rng.random() < 0.8:
+                concept = rng.choice(sorted(target_concepts(fact.target), key=str))
+        elif assets and roll < 0.7:
+            element_id = rng.choice(assets)
+            concept = rng.choice(sorted(_REFINABLE, key=str))
+        verdict = "confirm" if rng.random() < 0.7 else "reject"
+        entries.append(ReviewEntry(element_id, concept, verdict))
+    return ReviewOverlay(tuple(entries))
+
+
+def random_register_text(
+    rng: random.Random, model: EAModel, max_risks: int = 3
+) -> str:
     elems = sorted(model.elements)
 
     def pick_ids(limit=2):
@@ -182,7 +490,7 @@ def random_register_text(rng: random.Random, model: EAModel) -> str:
         crit_id = f"crit{i}"
         crit_ids.append(crit_id)
         lines.append(f"CRIT|{crit_id}|Criterion {i}|{pick_ids()}")
-    for i in range(rng.randint(0, 3)):
+    for i in range(rng.randint(0, max_risks)):
         risk_id = f"risk{i}"
         lines.append(f"RISK|{risk_id}|Risk {i}")
         if rng.random() < 0.8:
@@ -205,3 +513,80 @@ def random_register_text(rng: random.Random, model: EAModel) -> str:
                 for c in range(rng.randint(0, 2)):
                     lines.append(f"CTRL|{req_id}|ctrl{i}{j}{q}{c}|control text")
     return "\n".join(lines) + "\n"
+
+
+# --- indexed code against the scans ------------------------------------------------
+
+
+def _outcome(review, classification, overlay):
+    try:
+        return review(classification, overlay)
+    except InputError as exc:
+        return (type(exc), str(exc))
+
+
+def _same_outcome(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got
+    assert got.facts == want.facts
+
+
+def _findings(violations):
+    return [(v.code, v.subjects, v.message) for v in violations]
+
+
+def check_against_scans(ruleset, model, rng, lookups=None, max_risks=3):
+    """Run the pipeline indexed and scanning on one model; assert equal results.
+
+    Compares lookups (on `lookups` sampled elements, all when None), review
+    outcomes entry by entry and for the whole overlay, violations with their
+    messages, the event-part findings of the induced graph, and the trace
+    tree of every risk.
+    """
+    classification = classify_model(ruleset, model)
+    reference = scanning(classification)
+    ids = sorted(model.elements)
+    if lookups is not None:
+        ids = rng.sample(ids, min(lookups, len(ids)))
+    for element_id in [*ids, "absent"]:
+        assert classification.facts_for(element_id) == reference.facts_for(element_id)
+        assert classification.definite_concepts(
+            element_id
+        ) == reference.definite_concepts(element_id)
+    for concept in ISSRMConcept:
+        assert classification.definite_elements(
+            concept
+        ) == reference.definite_elements(concept)
+
+    overlay = random_overlay(rng, classification)
+    _same_outcome(
+        _outcome(apply_review, classification, overlay),
+        _outcome(apply_review_scan, reference, overlay),
+    )
+    reviewed = classification
+    for entry in overlay.entries:
+        single = ReviewOverlay((entry,))
+        got = _outcome(apply_review, reviewed, single)
+        want = _outcome(apply_review_scan, reference, single)
+        _same_outcome(got, want)
+        if not isinstance(want, tuple):
+            reviewed, reference = got, want
+
+    text = random_register_text(rng, model, max_risks)
+    register = parse_risk_catalog(text, reviewed)
+    reference_register = parse_risk_catalog(text, reference)
+    assert _findings(validate_register(register)) == _findings(
+        validate_register(reference_register)
+    )
+    graph = induced_graph(register)
+    part_codes = ("THR_INCOMPLETE", "VULN_NO_ISASSET")
+    assert _findings(
+        v for v in validate_structure(graph) if v.code in part_codes
+    ) == _findings(event_part_findings(graph))
+    kinds = rng.choice([None, {"flow"}, {"flow", "association"}])
+    for case in register.risks:
+        assert trace(register, case.id, kinds) == trace_scan(
+            reference_register, case.id, kinds
+        )

@@ -45,6 +45,8 @@ from riskalign.riskgraph import (
 )
 
 from .oracles import (
+    check_against_scans,
+    dijkstra_propagation,
     enumerate_propagation,
     random_model,
     random_register_text,
@@ -345,6 +347,24 @@ def test_propagation_and_coverage_match_brute_force_on_random_models():
         report = coverage(register)
         recount = recount_coverage(register)
         assert {name: getattr(report, name) for name in recount} == recount, seed
+
+    # One model at benchmark scale: 3000 elements, up to 6000 relationships.
+    rng = random.Random(3000)
+    model = random_model(rng, max_elements=3000, min_elements=3000)
+    classification = classify_model(ruleset, model)
+    is_assets = sorted(classification.definite_elements(C.IS_ASSET))
+    seeds = rng.sample(is_assets, 40)
+    got = impact_propagation(classification, seeds)
+    assert got == dijkstra_propagation(classification, seeds)
+    register = parse_risk_catalog(
+        random_register_text(rng, model, max_risks=60), classification
+    )
+    recount = recount_coverage(register)
+    assert {name: getattr(coverage(register), name) for name in recount} == recount
+    large = random_model(rng, 3000, 3000, framework="archimate21")
+    check_against_scans(
+        builtin_ruleset("archimate21"), large, rng, lookups=300, max_risks=60
+    )
 
 
 @criterion(7, "serialize/parse round-trips")

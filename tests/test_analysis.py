@@ -33,6 +33,7 @@ from .oracles import (
     random_model,
     random_register_text,
     recount_coverage,
+    trace_scan,
 )
 
 TABLET_PATHS = {
@@ -321,6 +322,30 @@ class TestTrace:
         target = node.children[0].children[0].children[2]
         assert target.kind == "is_asset"
         assert target.children == ()
+
+    def test_each_constraining_criterion_listed_once_in_record_order(self):
+        classification = classify_tabular(
+            "FRAMEWORK|togaf91\n"
+            "E|s|data entity|S|\n"
+            "E|t|business service|T|\n"
+            "R|r1|flow|s|t\n"
+        )
+        register = parse_risk_catalog(
+            "CRIT|c2|Integrity|t,t\n"
+            "CRIT|c1|Confidentiality|t\n"
+            "RISK|x|Risk\n"
+            "THREAT|x|-|-|s\n"
+            "VULN|x|weak|s\n"
+            "IMPACT|x|harm|t|c1\n",
+            classification,
+        )
+        node = trace(register, "x")
+        (business,) = node.children[0].children[0].children[0].children
+        assert [(c.kind, c.ref) for c in business.children] == [
+            ("criterion", "c2"),
+            ("criterion", "c1"),
+        ]
+        assert node == trace_scan(register, "x")
 
 
 class TestCoverage:

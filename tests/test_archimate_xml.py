@@ -1,6 +1,9 @@
 import pytest
 
 from riskalign.archimate_xml import ELEMENT_TOKENS, import_archimate
+from riskalign.builtin_tables import builtin_ruleset
+from riskalign.classify import classify_model
+from riskalign.eamodel import export_tabular, parse_tabular
 from riskalign.errors import ModelFormatError
 
 
@@ -73,6 +76,44 @@ def test_properties_become_attributes():
     )
     attrs = import_archimate(text).element("a").attributes
     assert attrs == {"carries_information": "true", "zone": "dmz"}
+
+
+def test_line_breaks_in_names_and_properties_become_spaces():
+    text = MINIMAL.replace(
+        "<name>Box</name>",
+        "<name>\n  Big\n  box&#13;&#10;on&#13;a|shelf\n</name><properties>"
+        '<property key="zone&#10;name" value="d&#13;m\tz"/>'
+        "</properties>",
+    )
+    element = import_archimate(text).element("a")
+    assert element.name == "Big   box on a|shelf"
+    assert element.attributes == {"zone name": "d m z"}
+
+
+@pytest.mark.parametrize("attribute", ["identifier", "source", "target"])
+def test_line_break_in_an_id_attribute_rejected(attribute):
+    old = {
+        "identifier": 'identifier="r1"',
+        "source": 'source="a"',
+        "target": 'target="b"',
+    }
+    value = old[attribute].replace('="', '="x&#10;')
+    with pytest.raises(ModelFormatError, match="contains a line break"):
+        import_archimate(MINIMAL.replace(old[attribute], value))
+
+
+def test_tabular_round_trip_classifies_like_the_xml(fixtures_dir):
+    text = (fixtures_dir / "lab_model.xml").read_text()
+    text = text.replace("<name>Tablet</name>", "<name>Tab\n  let</name>")
+    xml_model = import_archimate(text)
+    tab_model = parse_tabular(export_tabular(xml_model))
+    ruleset = builtin_ruleset("archimate21")
+    direct = classify_model(ruleset, xml_model)
+    via_tabular = classify_model(ruleset, tab_model)
+    assert tab_model.element("dev-tablet").name == "Tab   let"
+    assert via_tabular.facts == direct.facts
+    assert via_tabular.unmapped == direct.unmapped
+    assert via_tabular.unknown == direct.unknown
 
 
 def test_bytes_input_accepted():

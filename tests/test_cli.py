@@ -1,11 +1,14 @@
 """Command line behavior: exit codes, output formats, error reporting."""
 
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import riskalign
 from riskalign.cli import main
 
 TRACE_R1 = """\
@@ -660,6 +663,97 @@ class TestQuery:
         assert lines[4] == "  r-17 association net-wifi -> dev-tablet (other: net-wifi)"
 
 
+class TestInputEncoding:
+    @pytest.mark.parametrize("kind", ["model", "ruleset", "overlay", "register"])
+    def test_invalid_utf8_is_an_input_error(
+        self, capsys, lab, fixtures_dir, tmp_path, kind
+    ):
+        paths = {
+            "model": lab["tab"],
+            "ruleset": str(fixtures_dir / "golden" / "archimate21.rules"),
+            "overlay": lab["overlay"],
+            "register": lab["register"],
+        }
+        with open(paths[kind], "rb") as handle:
+            data = handle.read()
+        offset = data.index(b"\n", 40) + 1
+        bad = tmp_path / f"bad-{kind}"
+        bad.write_bytes(data[:offset] + b"\xff" + data[offset:])
+        paths[kind] = str(bad)
+        code, out, err = run(
+            capsys,
+            "validate",
+            "--model",
+            paths["model"],
+            "--ruleset",
+            paths["ruleset"],
+            "--overlay",
+            paths["overlay"],
+            "--register",
+            paths["register"],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: cannot read {bad}: not valid UTF-8 at byte offset {offset}\n"
+        )
+
+
+class TestXmlLineBreaks:
+    @pytest.fixture
+    def split_name(self, fixtures_dir, tmp_path):
+        text = (fixtures_dir / "lab_model.xml").read_text()
+        text = text.replace("<name>Tablet</name>", "<name>Tab\n        let</name>")
+        return write(tmp_path, "split.xml", text)
+
+    def test_import_writes_the_name_on_one_line(
+        self, capsys, fixtures_dir, split_name
+    ):
+        code, out, err = run(capsys, "import", "--model", split_name)
+        assert code == 0
+        assert err == ""
+        expected = (fixtures_dir / "lab_model.tab").read_text()
+        assert out == expected.replace("|Tablet|", "|Tab         let|")
+
+    def test_trace_records_run_through(self, capsys, lab, split_name):
+        code, out, _ = run(
+            capsys,
+            "trace",
+            "r2",
+            "--model",
+            split_name,
+            "--ruleset",
+            "archimate21",
+            "--overlay",
+            lab["overlay"],
+            "--register",
+            lab["register"],
+            "--format",
+            "records",
+        )
+        assert code == 0
+        assert "T|3|is_asset|dev-tablet|Tab         let|\n" in out
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ('identifier="dev-tablet"', 'identifier="dev&#10;tablet"'),
+            ('source="dev-tablet"', 'source="dev-tablet&#10;"'),
+            ('target="dev-tablet"', 'target="dev&#13;tablet"'),
+        ],
+    )
+    def test_line_break_in_an_id_is_an_input_error(
+        self, capsys, fixtures_dir, tmp_path, old, new
+    ):
+        text = (fixtures_dir / "lab_model.xml").read_text().replace(old, new)
+        model = write(tmp_path, "bad-id.xml", text)
+        code, out, err = run(capsys, "import", "--model", model)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "contains a line break" in err
+        assert err.count("\n") == 1
+
+
 class TestUsage:
     def test_no_arguments(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -720,6 +814,10 @@ class TestOutFiles:
 class TestInstalledEntryPoint:
     def test_subprocess_exit_codes(self, lab):
         base = [sys.executable, "-m", "riskalign.cli"]
+        # The child imports the same riskalign as this process, installed or not.
+        src = str(Path(riskalign.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
         ok = subprocess.run(
             base
             + [
@@ -735,12 +833,13 @@ class TestInstalledEntryPoint:
             ],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert ok.returncode == 0
         assert ok.stdout.startswith("violations: 1\n")
 
         bad_usage = subprocess.run(
-            base + ["trace"], capture_output=True, text=True
+            base + ["trace"], capture_output=True, text=True, env=env
         )
         assert bad_usage.returncode == 2
         assert "usage:" in bad_usage.stderr

@@ -52,6 +52,30 @@ def test_attrs_round_trip(attrs):
     assert recordio.parse_attrs(encoded, 1) == attrs
 
 
+# Backslash-free text rich in the separators: the str.split fast paths.
+plain_text = st.text(
+    alphabet=st.one_of(
+        st.sampled_from("|;= "),
+        st.characters(blacklist_characters="\\\n\r"),
+    ),
+    max_size=40,
+)
+
+
+@given(plain_text)
+def test_plain_lines_split_like_split_record(line):
+    records = list(recordio.iter_records(line))
+    if not line.strip() or line.startswith("#"):
+        assert records == []
+    else:
+        assert records == [(1, recordio.split_record(line))]
+
+
+@given(plain_text, st.sampled_from(";="))
+def test_plain_attribute_fields_split_like_split_escaped(field, sep):
+    assert recordio._split(field, sep) == recordio.split_escaped(field, sep)
+
+
 def test_attrs_with_reserved_characters():
     attrs = {"a;b": "x=y", "c|d": "e\\f"}
     assert recordio.parse_attrs(recordio.format_attrs(attrs), 1) == attrs

@@ -6,6 +6,9 @@ from riskalign.concepts import ISSRMConcept as C
 from riskalign.eamodel import parse_tabular
 from riskalign.errors import CatalogFormatError, UnknownRiskError
 from riskalign.register import (
+    ControlSpec,
+    RequirementSpec,
+    TreatmentSpec,
     bound_concept,
     induced_graph,
     parse_risk_catalog,
@@ -41,6 +44,45 @@ def test_lab_register_shape(lab_register):
     assert [q.id for q in r1.treatments[0].requirements] == ["q1"]
     assert [k.id for k in r1.treatments[0].requirements[0].controls] == ["k1"]
     assert [c.id for c in lab_register.criteria] == ["c1"]
+
+
+def test_interleaved_treatment_records_keep_record_order():
+    text = (
+        "RISK|x1|Risk one\n"
+        "RISK|x2|Risk two\n"
+        "TREAT|x2|t2|second\n"
+        "TREAT|x1|t1|first\n"
+        "REQ|t1|q1|one\n"
+        "REQ|t2|q2|two\n"
+        "CTRL|q2|k1|a\n"
+        "REQ|t1|q3|three\n"
+        "CTRL|q1|k2|b\n"
+        "CTRL|q2|k3|c\n"
+        "TREAT|x1|t3|third\n"
+    )
+    x1, x2 = parse_risk_catalog(text, classification_of(SMALL)).risks
+    assert x1.treatments == [
+        TreatmentSpec(
+            "t1",
+            "first",
+            (
+                RequirementSpec("q1", "one", (ControlSpec("k2", "b"),)),
+                RequirementSpec("q3", "three"),
+            ),
+        ),
+        TreatmentSpec("t3", "third"),
+    ]
+    assert x2.treatments == [
+        TreatmentSpec(
+            "t2",
+            "second",
+            (
+                RequirementSpec(
+                    "q2", "two", (ControlSpec("k1", "a"), ControlSpec("k3", "c"))
+                ),
+            ),
+        )
+    ]
 
 
 def test_dash_means_no_agent_or_method(lab_register):
