@@ -8,6 +8,7 @@ condenses a register into counts and ratios.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .classify import ClassificationSet
@@ -288,49 +289,33 @@ def render_propagation_text(reached: dict[str, tuple[str, ...]]) -> str:
 
 
 def render_propagation_records(reached: dict[str, tuple[str, ...]]) -> str:
-    lines = [
-        recordio.join_record(("P", target, ",".join(reached[target])))
-        for target in sorted(reached)
-    ]
-    return "\n".join(lines) + "\n" if lines else ""
+    return recordio.join_records(
+        ("P", target, ",".join(reached[target])) for target in sorted(reached)
+    )
+
+
+def _depth_first(node: TraceNode, depth: int) -> Iterator[tuple[int, TraceNode]]:
+    """(depth, node) for a trace tree in pre-order, children in tree order."""
+    yield depth, node
+    for child in node.children:
+        yield from _depth_first(child, depth + 1)
 
 
 def render_trace_text(node: TraceNode) -> str:
     lines: list[str] = []
-    _trace_lines(node, 0, lines)
+    for depth, current in _depth_first(node, 0):
+        ref = f" [{current.ref}]" if current.ref else ""
+        flags = f" ({', '.join(current.flags)})" if current.flags else ""
+        via = f" via {' -> '.join(current.path)}" if current.path else ""
+        lines.append(f"{'  ' * depth}{current.kind}{ref}: {current.label}{flags}{via}")
     return "\n".join(lines) + "\n"
-
-
-def _trace_lines(node: TraceNode, depth: int, lines: list[str]) -> None:
-    ref = f" [{node.ref}]" if node.ref else ""
-    flags = f" ({', '.join(node.flags)})" if node.flags else ""
-    via = f" via {' -> '.join(node.path)}" if node.path else ""
-    lines.append(f"{'  ' * depth}{node.kind}{ref}: {node.label}{flags}{via}")
-    for child in node.children:
-        _trace_lines(child, depth + 1, lines)
 
 
 def render_trace_records(node: TraceNode) -> str:
-    lines: list[str] = []
-
-    def visit(current: TraceNode, depth: int) -> None:
-        lines.append(
-            recordio.join_record(
-                (
-                    "T",
-                    str(depth),
-                    current.kind,
-                    current.ref,
-                    current.label,
-                    ",".join(current.flags),
-                )
-            )
-        )
-        for child in current.children:
-            visit(child, depth + 1)
-
-    visit(node, 0)
-    return "\n".join(lines) + "\n"
+    return recordio.join_records(
+        ("T", str(depth), current.kind, current.ref, current.label, ",".join(current.flags))
+        for depth, current in _depth_first(node, 0)
+    )
 
 
 _COVERAGE_FIELDS = (
@@ -363,8 +348,6 @@ def render_coverage_text(report: CoverageReport) -> str:
 
 
 def render_coverage_records(report: CoverageReport) -> str:
-    lines = [
-        recordio.join_record(("C", name, _coverage_value(report, name)))
-        for name in _COVERAGE_FIELDS
-    ]
-    return "\n".join(lines) + "\n"
+    return recordio.join_records(
+        ("C", name, _coverage_value(report, name)) for name in _COVERAGE_FIELDS
+    )

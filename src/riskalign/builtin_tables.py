@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import UnknownFrameworkError
+from .eamodel import check_framework
 from .mappings import Ruleset, parse_ruleset
 
 ARCHIMATE21 = """\
@@ -200,22 +200,9 @@ _TABLES = {
 @lru_cache(maxsize=None)
 def builtin_ruleset(framework: str) -> Ruleset:
     """Return the builtin ruleset for a framework id."""
-    try:
-        text = _TABLES[framework]
-    except KeyError:
-        raise UnknownFrameworkError(
-            f"unknown framework {framework!r}; expected one of "
-            + ", ".join(sorted(_TABLES))
-        ) from None
-    return parse_ruleset(text)
+    return parse_ruleset(builtin_table_text(framework))
 
 
 def builtin_table_text(framework: str) -> str:
     """Return the embedded table text for a framework id."""
-    try:
-        return _TABLES[framework]
-    except KeyError:
-        raise UnknownFrameworkError(
-            f"unknown framework {framework!r}; expected one of "
-            + ", ".join(sorted(_TABLES))
-        ) from None
+    return _TABLES[check_framework(framework)]

@@ -23,6 +23,7 @@ from .errors import (
     UnknownElementError,
 )
 from .mappings import (
+    AlignmentRule,
     AnnotationTarget,
     AttributeTarget,
     ConceptTarget,
@@ -86,21 +87,27 @@ class ClassificationFact:
 
 def classify_element(ruleset: Ruleset, element: EAElement) -> list[ClassificationFact]:
     """Facts for one element, in table order. Empty for unmapped or unknown."""
-    facts: list[ClassificationFact] = []
-    for rule in resolve_rules(ruleset, element.concept_name, element.attributes):
-        if isinstance(rule.target, NoTarget):
-            continue
-        facts.append(
-            ClassificationFact(
-                element_id=element.id,
-                target=rule.target,
-                mapping_type=rule.mapping_type,
-                tier=tier_of(rule.mapping_type, rule.target),
-                framework=rule.framework,
-                row=rule.row,
-            )
-        )
-    return facts
+    return [_fact(element.id, rule) for rule in _target_rules(ruleset, element)]
+
+
+def _target_rules(ruleset: Ruleset, element: EAElement) -> list[AlignmentRule]:
+    """The element's applicable rules that name a target, in table order."""
+    return [
+        rule
+        for rule in resolve_rules(ruleset, element.concept_name, element.attributes)
+        if not isinstance(rule.target, NoTarget)
+    ]
+
+
+def _fact(element_id: str, rule: AlignmentRule) -> ClassificationFact:
+    return ClassificationFact(
+        element_id=element_id,
+        target=rule.target,
+        mapping_type=rule.mapping_type,
+        tier=tier_of(rule.mapping_type, rule.target),
+        framework=rule.framework,
+        row=rule.row,
+    )
 
 
 @dataclass(frozen=True)
@@ -177,14 +184,11 @@ def classify_model(ruleset: Ruleset, model: EAModel) -> ClassificationSet:
         if not ruleset.rules_for(element.concept_name):
             unknown.append(elem_id)
             continue
-        applicable = resolve_rules(ruleset, element.concept_name, element.attributes)
-        element_facts = classify_element(ruleset, element)
-        if not element_facts:
+        rules = _target_rules(ruleset, element)
+        if not rules:
             unmapped.append(elem_id)
-        facts.extend(element_facts)
-        for rule in applicable:
-            if isinstance(rule.target, NoTarget):
-                continue
+        for rule in rules:
+            facts.append(_fact(elem_id, rule))
             if rule.mapping_type.kind is MappingKind.UNSPECIFIED:
                 warnings.append(
                     f"{elem_id}: {rule.framework} row {rule.row} ({rule.source}) "
@@ -355,27 +359,39 @@ def unmapped_report(classification: ClassificationSet) -> list[UnmappedEntry]:
     return out
 
 
+def render_unmapped_text(entries: list[UnmappedEntry]) -> str:
+    lines = [f"unmapped elements: {len(entries)}"]
+    for e in entries:
+        reason = f": {e.reason}" if e.reason else ""
+        lines.append(f"  {e.element_id} ({e.name}) concept {e.concept_name!r}{reason}")
+    return "\n".join(lines) + "\n"
+
+
+def render_unmapped_records(entries: list[UnmappedEntry]) -> str:
+    return recordio.join_records(
+        ("U", e.element_id, e.concept_name, e.name, e.reason) for e in entries
+    )
+
+
 def render_facts_records(classification: ClassificationSet) -> str:
     """Record-format report: F lines, then U lines, then X lines."""
-    lines: list[str] = []
-    for fact in classification.facts:
-        lines.append(
-            recordio.join_record(
-                (
-                    "F",
-                    fact.element_id,
-                    serialize_target(fact.target),
-                    str(fact.mapping_type),
-                    str(fact.tier),
-                    fact.provenance,
-                )
-            )
+    rows: list[tuple[str, ...]] = [
+        (
+            "F",
+            fact.element_id,
+            serialize_target(fact.target),
+            str(fact.mapping_type),
+            str(fact.tier),
+            fact.provenance,
         )
-    for entry in unmapped_report(classification):
-        lines.append(recordio.join_record(("U", entry.element_id, entry.reason)))
-    for elem_id in classification.unknown:
-        lines.append(recordio.join_record(("X", elem_id)))
-    return "\n".join(lines) + "\n" if lines else ""
+        for fact in classification.facts
+    ]
+    rows.extend(
+        ("U", entry.element_id, entry.reason)
+        for entry in unmapped_report(classification)
+    )
+    rows.extend(("X", elem_id) for elem_id in classification.unknown)
+    return recordio.join_records(rows)
 
 
 def render_facts_text(classification: ClassificationSet) -> str:

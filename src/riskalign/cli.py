@@ -10,7 +10,9 @@ byte-identical across runs unless --stamp is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+from collections.abc import Callable
 from datetime import datetime, timezone
 
 from .analysis import (
@@ -33,16 +35,24 @@ from .classify import (
     parse_overlay,
     render_facts_records,
     render_facts_text,
+    render_unmapped_records,
+    render_unmapped_text,
     unmapped_report,
 )
-from .eamodel import EAModel, export_tabular, neighbors, parse_tabular
+from .eamodel import (
+    FRAMEWORKS,
+    EAModel,
+    export_tabular,
+    neighbors,
+    parse_tabular,
+    render_neighbors_records,
+    render_neighbors_text,
+)
 from .errors import InputError
 from .mappings import Ruleset, parse_ruleset
 from .register import RiskRegister, parse_risk_catalog, validate_register
-from .riskgraph import Severity
+from .riskgraph import Severity, render_violations_records, render_violations_text
 from . import recordio
-
-_BUILTIN_IDS = ("archimate21", "togaf91", "dodaf202", "iaf")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -72,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ruleset_opts.add_argument(
         "--ruleset",
         required=True,
-        help="builtin ruleset id (%s) or a ruleset file path" % ", ".join(_BUILTIN_IDS),
+        help="builtin ruleset id (%s) or a ruleset file path" % ", ".join(FRAMEWORKS),
     )
 
     overlay_opts = argparse.ArgumentParser(add_help=False)
@@ -159,7 +169,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_text(path: str) -> str:
-    """Read a UTF-8 file, translating \\r\\n and \\r line ends to \\n."""
+    """Read a UTF-8 file, dropping a leading byte order mark and translating
+    \\r\\n and \\r line ends to \\n."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -171,28 +182,29 @@ def _read_text(path: str) -> str:
         raise InputError(
             f"cannot read {path}: not valid UTF-8 at byte offset {exc.start}"
         ) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _load_model(path: str) -> EAModel:
     text = _read_text(path)
     if text.lstrip()[:1] == "<":
-        return import_archimate(text, source=path)
-    return parse_tabular(text, source=path)
+        model = import_archimate(text, source=path)
+    else:
+        model = parse_tabular(text, source=path)
+    for warning in model.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return model
 
 
 def _load_ruleset(ref: str) -> Ruleset:
-    if ref in _BUILTIN_IDS:
+    if ref in FRAMEWORKS:
         return builtin_ruleset(ref)
     return parse_ruleset(_read_text(ref))
 
 
 def _classification(args: argparse.Namespace) -> ClassificationSet:
     model = _load_model(args.model)
-    ruleset = _load_ruleset(args.ruleset)
-    for warning in model.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    result = classify_model(ruleset, model)
+    result = classify_model(_load_ruleset(args.ruleset), model)
     overlay_path = getattr(args, "overlay", None)
     if overlay_path:
         result = apply_review(result, parse_overlay(_read_text(overlay_path)))
@@ -208,7 +220,7 @@ def _kinds(args: argparse.Namespace) -> set[str] | None:
     raw = getattr(args, "supports_kinds", None)
     if raw is None:
         return None
-    kinds = {part.strip() for part in raw.split(",") if part.strip()}
+    kinds = set(recordio.split_list(raw))
     if not kinds:
         raise InputError("--supports-kinds given but names no kinds")
     return kinds
@@ -228,14 +240,18 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _report(args: argparse.Namespace, render_text: Callable[..., str],
+            render_records: Callable[..., str], report: object) -> None:
+    """Render a report with the renderer --format picks, then emit it."""
+    render = render_records if args.format == "records" else render_text
+    _emit(args, render(report))
+
+
 # --- subcommands ----------------------------------------------------------------
 
 
 def _cmd_import(args: argparse.Namespace) -> int:
-    model = _load_model(args.model)
-    for warning in model.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    _emit(args, export_tabular(model))
+    _emit(args, export_tabular(_load_model(args.model)))
     return 0
 
 
@@ -243,30 +259,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     result = _classification(args)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    render = render_facts_records if args.format == "records" else render_facts_text
-    _emit(args, render(result))
+    _report(args, render_facts_text, render_facts_records, result)
     return 1 if result.unknown else 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     result = _classification(args)
-    register = _load_register(args, result)
-    violations = validate_register(register)
-    if args.format == "records":
-        lines = [
-            recordio.join_record(
-                ("V", str(v.severity), v.code, ",".join(v.subjects), v.message)
-            )
-            for v in violations
-        ]
-        _emit(args, "\n".join(lines) + "\n" if lines else "")
-    else:
-        lines = [f"violations: {len(violations)}"]
-        lines.extend(
-            f"  {v.severity} {v.code} [{', '.join(v.subjects)}] {v.message}"
-            for v in violations
-        )
-        _emit(args, "\n".join(lines) + "\n")
+    violations = validate_register(_load_register(args, result))
+    _report(args, render_violations_text, render_violations_records, violations)
     has_errors = any(v.severity is Severity.ERROR for v in violations)
     return 1 if has_errors else 0
 
@@ -275,54 +275,30 @@ def _cmd_report(args: argparse.Namespace) -> int:
     result = _classification(args)
     if args.kind == "unmapped":
         entries = unmapped_report(result)
-        if args.format == "records":
-            lines = [
-                recordio.join_record(
-                    ("U", e.element_id, e.concept_name, e.name, e.reason)
-                )
-                for e in entries
-            ]
-            _emit(args, "\n".join(lines) + "\n" if lines else "")
-        else:
-            lines = [f"unmapped elements: {len(entries)}"]
-            for e in entries:
-                reason = f": {e.reason}" if e.reason else ""
-                lines.append(f"  {e.element_id} ({e.name}) concept {e.concept_name!r}{reason}")
-            _emit(args, "\n".join(lines) + "\n")
+        _report(args, render_unmapped_text, render_unmapped_records, entries)
         return 0
     if not args.register:
         raise InputError("report coverage needs --register")
-    register = _load_register(args, result)
-    report = coverage(register)
-    render = (
-        render_coverage_records if args.format == "records" else render_coverage_text
-    )
-    _emit(args, render(report))
+    report = coverage(_load_register(args, result))
+    _report(args, render_coverage_text, render_coverage_records, report)
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     result = _classification(args)
-    register = _load_register(args, result)
-    tree = trace(register, args.risk_id, _kinds(args))
-    render = render_trace_records if args.format == "records" else render_trace_text
-    _emit(args, render(tree))
+    tree = trace(_load_register(args, result), args.risk_id, _kinds(args))
+    _report(args, render_trace_text, render_trace_records, tree)
     return 0
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
     result = _classification(args)
     if args.what == "supports":
-        seeds = [part.strip() for part in args.arg.split(",") if part.strip()]
+        seeds = recordio.split_list(args.arg)
         if not seeds:
             raise InputError("supports needs at least one seed element id")
         reached = impact_propagation(result, seeds, _kinds(args))
-        render = (
-            render_propagation_records
-            if args.format == "records"
-            else render_propagation_text
-        )
-        _emit(args, render(reached))
+        _report(args, render_propagation_text, render_propagation_records, reached)
         return 0
     if args.what == "facts":
         element = result.model.element(args.arg)  # raises for unknown ids
@@ -334,24 +310,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
             unknown=tuple(e for e in result.unknown if e == element.id),
             warnings=(),
         )
-        render = render_facts_records if args.format == "records" else render_facts_text
-        _emit(args, render(subset))
+        _report(args, render_facts_text, render_facts_records, subset)
         return 0
-    model = result.model
-    pairs = neighbors(model, args.arg, args.direction)
-    if args.format == "records":
-        lines = [
-            recordio.join_record(("N", rel.id, rel.kind, rel.source, rel.target, other.id))
-            for rel, other in pairs
-        ]
-        _emit(args, "\n".join(lines) + "\n" if lines else "")
-    else:
-        lines = [f"neighbors of {args.arg}: {len(pairs)}"]
-        lines.extend(
-            f"  {rel.id} {rel.kind} {rel.source} -> {rel.target} (other: {other.id})"
-            for rel, other in pairs
-        )
-        _emit(args, "\n".join(lines) + "\n")
+    pairs = neighbors(result.model, args.arg, args.direction)
+    render_text = functools.partial(render_neighbors_text, args.arg)
+    _report(args, render_text, render_neighbors_records, pairs)
     return 0
 
 

@@ -30,6 +30,16 @@ from . import recordio
 FRAMEWORKS = ("archimate21", "togaf91", "dodaf202", "iaf")
 
 
+def check_framework(framework: str) -> str:
+    """Return a supported framework id; raise UnknownFrameworkError otherwise."""
+    if framework not in FRAMEWORKS:
+        raise UnknownFrameworkError(
+            f"unknown framework {framework!r}; expected one of "
+            + ", ".join(FRAMEWORKS)
+        )
+    return framework
+
+
 def normalize_name(name: str) -> str:
     """Lowercase and collapse runs of whitespace to single spaces."""
     return " ".join(name.split()).lower()
@@ -67,12 +77,7 @@ class EAModel:
         source: str = "",
         warnings: list[str] | tuple[str, ...] = (),
     ):
-        if framework not in FRAMEWORKS:
-            raise UnknownFrameworkError(
-                f"unknown framework {framework!r}; expected one of "
-                + ", ".join(FRAMEWORKS)
-            )
-        self.framework = framework
+        self.framework = check_framework(framework)
         self.source = source
         self.warnings = tuple(warnings)
         self._elements: dict[str, EAElement] = {}
@@ -141,6 +146,23 @@ def neighbors(
     return out
 
 
+def render_neighbors_text(
+    element_id: str, pairs: list[tuple[EARelationship, EAElement]]
+) -> str:
+    lines = [f"neighbors of {element_id}: {len(pairs)}"]
+    lines.extend(
+        f"  {rel.id} {rel.kind} {rel.source} -> {rel.target} (other: {other.id})"
+        for rel, other in pairs
+    )
+    return "\n".join(lines) + "\n"
+
+
+def render_neighbors_records(pairs: list[tuple[EARelationship, EAElement]]) -> str:
+    return recordio.join_records(
+        ("N", rel.id, rel.kind, rel.source, rel.target, other.id) for rel, other in pairs
+    )
+
+
 def parse_tabular(text: str, source: str = "") -> EAModel:
     """Parse the tabular model format. Errors carry 1-based line numbers."""
     framework: str | None = None
@@ -156,13 +178,10 @@ def parse_tabular(text: str, source: str = "") -> EAModel:
                 raise ModelFormatError(
                     "expected FRAMEWORK|<id> as the first record", lineno
                 )
-            framework = fields[1]
-            if framework not in FRAMEWORKS:
-                raise ModelFormatError(
-                    f"unknown framework {framework!r}; expected one of "
-                    + ", ".join(FRAMEWORKS),
-                    lineno,
-                )
+            try:
+                framework = check_framework(fields[1])
+            except UnknownFrameworkError as exc:
+                raise ModelFormatError(str(exc), lineno) from None
             continue
         if tag == "E":
             if len(fields) != 5:
@@ -209,16 +228,12 @@ def parse_tabular(text: str, source: str = "") -> EAModel:
 
 def export_tabular(model: EAModel) -> str:
     """Serialize a model to the tabular format, elements before relationships."""
-    lines = [recordio.join_record(("FRAMEWORK", model.framework))]
-    for elem in model.elements.values():
-        attr_field = recordio.format_attrs(elem.attributes)
-        lines.append(
-            recordio.join_record(
-                ("E", elem.id, elem.concept_name, elem.name, attr_field)
-            )
-        )
-    for rel in model.relationships:
-        lines.append(
-            recordio.join_record(("R", rel.id, rel.kind, rel.source, rel.target))
-        )
-    return "\n".join(lines) + "\n"
+    rows = [("FRAMEWORK", model.framework)]
+    rows.extend(
+        ("E", elem.id, elem.concept_name, elem.name, recordio.format_attrs(elem.attributes))
+        for elem in model.elements.values()
+    )
+    rows.extend(
+        ("R", rel.id, rel.kind, rel.source, rel.target) for rel in model.relationships
+    )
+    return recordio.join_records(rows)

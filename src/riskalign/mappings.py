@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 
 from .concepts import ISSRMConcept, parse_concept
-from .eamodel import FRAMEWORKS, normalize_name
+from .eamodel import check_framework, normalize_name
 from .errors import RulesetFormatError, UnknownFrameworkError
 from . import recordio
 
@@ -136,9 +136,7 @@ TargetSpec = ConceptTarget | AttributeTarget | CompositeTarget | AnnotationTarge
 
 def target_concepts(target: TargetSpec) -> frozenset[ISSRMConcept]:
     """Concepts a target contributes facts for."""
-    if isinstance(target, ConceptTarget):
-        return frozenset({target.concept})
-    if isinstance(target, AttributeTarget):
+    if isinstance(target, (ConceptTarget, AttributeTarget)):
         return frozenset({target.concept})
     if isinstance(target, CompositeTarget):
         return frozenset(target.concepts)
@@ -289,12 +287,7 @@ class Ruleset:
 
     def __init__(self, framework: str, version_note: str,
                  rules: list[AlignmentRule] | tuple[AlignmentRule, ...]):
-        if framework not in FRAMEWORKS:
-            raise UnknownFrameworkError(
-                f"unknown framework {framework!r}; expected one of "
-                + ", ".join(FRAMEWORKS)
-            )
-        self.framework = framework
+        self.framework = check_framework(framework)
         self.version_note = version_note
         self.rules = tuple(rules)
         seen: set[tuple[str, str, object]] = set()
@@ -372,13 +365,10 @@ def parse_ruleset(text: str) -> Ruleset:
                 raise RulesetFormatError(
                     "expected RULESET|<framework>|<note> as the first record", lineno
                 )
-            if fields[1] not in FRAMEWORKS:
-                raise RulesetFormatError(
-                    f"unknown framework {fields[1]!r}; expected one of "
-                    + ", ".join(FRAMEWORKS),
-                    lineno,
-                )
-            header = (fields[1], fields[2])
+            try:
+                header = (check_framework(fields[1]), fields[2])
+            except UnknownFrameworkError as exc:
+                raise RulesetFormatError(str(exc), lineno) from None
             continue
         if len(fields) != 6:
             raise RulesetFormatError(
@@ -418,18 +408,16 @@ def parse_ruleset(text: str) -> Ruleset:
 
 def serialize_ruleset(ruleset: Ruleset) -> str:
     """Serialize a ruleset; parse_ruleset(serialize_ruleset(rs)) == rs."""
-    lines = [recordio.join_record(("RULESET", ruleset.framework, ruleset.version_note))]
-    for rule in ruleset.rules:
-        lines.append(
-            recordio.join_record(
-                (
-                    rule.source,
-                    rule.section,
-                    serialize_target(rule.target),
-                    str(rule.mapping_type),
-                    str(rule.condition) if rule.condition else "",
-                    rule.example,
-                )
-            )
+    rows = [("RULESET", ruleset.framework, ruleset.version_note)]
+    rows.extend(
+        (
+            rule.source,
+            rule.section,
+            serialize_target(rule.target),
+            str(rule.mapping_type),
+            str(rule.condition) if rule.condition else "",
+            rule.example,
         )
-    return "\n".join(lines) + "\n"
+        for rule in ruleset.rules
+    )
+    return recordio.join_records(rows)

@@ -9,7 +9,7 @@ Fields are single-line; writers reject embedded line breaks.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import LineError
 
@@ -66,6 +66,16 @@ def split_escaped(value: str, sep: str) -> list[str]:
 
 def join_record(fields: list[str] | tuple[str, ...]) -> str:
     return "|".join(escape_field(f) for f in fields)
+
+
+def join_records(rows: Iterable[list[str] | tuple[str, ...]]) -> str:
+    """A records document: one joined line per row, each ended by a newline."""
+    return "".join(join_record(row) + "\n" for row in rows)
+
+
+def split_list(text: str) -> tuple[str, ...]:
+    """Split a comma-separated list, dropping blanks around and between items."""
+    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
 def split_record(line: str) -> list[str]:

@@ -124,8 +124,11 @@ class _Draft:
     children: list = field(default_factory=list)
 
 
-def _id_list(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+# Fields per catalog record, the tag included.
+_FIELD_COUNTS = {
+    "CRIT": 4, "RISK": 3, "THREAT": 5, "VULN": 4,
+    "IMPACT": 5, "TREAT": 4, "REQ": 4, "CTRL": 4,
+}
 
 
 def parse_risk_catalog(text: str, classification: ClassificationSet) -> RiskRegister:
@@ -154,7 +157,7 @@ def parse_risk_catalog(text: str, classification: ClassificationSet) -> RiskRegi
         declared.add(record_id)
 
     def elements(ids_field: str, lineno: int) -> tuple[str, ...]:
-        ids = _id_list(ids_field)
+        ids = recordio.split_list(ids_field)
         for elem_id in ids:
             if elem_id not in model:
                 raise CatalogFormatError(
@@ -164,21 +167,20 @@ def parse_risk_catalog(text: str, classification: ClassificationSet) -> RiskRegi
 
     for lineno, fields in recordio.iter_records(text):
         tag = fields[0]
+        count = _FIELD_COUNTS.get(tag)
+        if count is None:
+            raise CatalogFormatError(f"unknown record tag {tag!r}", lineno)
+        if len(fields) != count:
+            raise CatalogFormatError(f"{tag} needs {count} fields", lineno)
         if tag == "CRIT":
-            if len(fields) != 4:
-                raise CatalogFormatError("CRIT needs 4 fields", lineno)
             _, crit_id, name, constrained = fields
             declare(crit_id, lineno)
             criteria[crit_id] = CriterionSpec(crit_id, name, elements(constrained, lineno))
         elif tag == "RISK":
-            if len(fields) != 3:
-                raise CatalogFormatError("RISK needs 3 fields", lineno)
             _, risk_id, name = fields
             declare(risk_id, lineno)
             risks[risk_id] = RiskCase(risk_id, name)
         elif tag == "THREAT":
-            if len(fields) != 5:
-                raise CatalogFormatError("THREAT needs 5 fields", lineno)
             _, risk_id, agent, method, targets = fields
             case = _case(risks, risk_id, lineno)
             if case.threat is not None:
@@ -191,19 +193,15 @@ def parse_risk_catalog(text: str, classification: ClassificationSet) -> RiskRegi
                 targets=elements(targets, lineno),
             )
         elif tag == "VULN":
-            if len(fields) != 4:
-                raise CatalogFormatError("VULN needs 4 fields", lineno)
             _, risk_id, vuln_text, ids_field = fields
             case = _case(risks, risk_id, lineno)
             case.vulnerabilities.append(
                 VulnerabilitySpec(vuln_text, elements(ids_field, lineno))
             )
         elif tag == "IMPACT":
-            if len(fields) != 5:
-                raise CatalogFormatError("IMPACT needs 5 fields", lineno)
             _, risk_id, impact_text, harmed, negated = fields
             case = _case(risks, risk_id, lineno)
-            negated_ids = _id_list(negated)
+            negated_ids = recordio.split_list(negated)
             for crit_id in negated_ids:
                 if crit_id not in criteria:
                     raise CatalogFormatError(
@@ -213,15 +211,11 @@ def parse_risk_catalog(text: str, classification: ClassificationSet) -> RiskRegi
                 ImpactSpec(impact_text, elements(harmed, lineno), negated_ids)
             )
         elif tag == "TREAT":
-            if len(fields) != 4:
-                raise CatalogFormatError("TREAT needs 4 fields", lineno)
             _, risk_id, treat_id, treat_text = fields
             _case(risks, risk_id, lineno)
             declare(treat_id, lineno)
             treatments[treat_id] = (risk_id, _Draft(treat_id, treat_text))
         elif tag == "REQ":
-            if len(fields) != 4:
-                raise CatalogFormatError("REQ needs 4 fields", lineno)
             _, treat_id, req_id, req_text = fields
             if treat_id not in treatments:
                 raise CatalogFormatError(f"unknown treatment id {treat_id!r}", lineno)
@@ -229,15 +223,11 @@ def parse_risk_catalog(text: str, classification: ClassificationSet) -> RiskRegi
             requirements[req_id] = _Draft(req_id, req_text)
             treatments[treat_id][1].children.append(requirements[req_id])
         elif tag == "CTRL":
-            if len(fields) != 4:
-                raise CatalogFormatError("CTRL needs 4 fields", lineno)
             _, req_id, ctrl_id, ctrl_text = fields
             if req_id not in requirements:
                 raise CatalogFormatError(f"unknown requirement id {req_id!r}", lineno)
             declare(ctrl_id, lineno)
             requirements[req_id].children.append(ControlSpec(ctrl_id, ctrl_text))
-        else:
-            raise CatalogFormatError(f"unknown record tag {tag!r}", lineno)
 
     for risk_id, draft in treatments.values():
         requirement_specs = tuple(
@@ -391,26 +381,22 @@ def validate_register(register: RiskRegister) -> list[Violation]:
     found = set(validate_structure(induced_graph(register)))
 
     for case in register.risks:
-        event_id = f"{case.id}::event"
-        if case.threat is None:
+        # The structure gate checks an event's parts only once it has one. An
+        # event with a threat or a vulnerability is checked there; one with
+        # neither is bare in the graph, so its two findings are added here.
+        # Risks need no such case: their event is always a part.
+        if case.threat is None and not case.vulnerabilities:
+            event_id = f"{case.id}::event"
             found.add(
                 Violation(
                     "EVT_NO_THREAT", (event_id,),
                     f"risk {case.id!r} declares no threat",
                 )
             )
-        if not case.vulnerabilities:
             found.add(
                 Violation(
                     "EVT_NO_VULN", (event_id,),
                     f"risk {case.id!r} declares no vulnerability",
-                )
-            )
-        if not case.impacts:
-            found.add(
-                Violation(
-                    "RISK_NO_IMPACT", (case.id,),
-                    f"risk {case.id!r} declares no impact",
                 )
             )
         for index, impact in enumerate(case.impacts, start=1):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .concepts import ASSET_KINDS, ISSRMConcept
 from .errors import DuplicateIdError
+from . import recordio
 
 
 class RelationKind(enum.Enum):
@@ -215,14 +216,6 @@ class RiskGraph:
     def entity(self, entity_id: str) -> Entity | None:
         return self._entities.get(entity_id)
 
-    def with_entity(self, entity: Entity) -> "RiskGraph":
-        """Return a copy with one entity added."""
-        return RiskGraph(list(self._entities.values()) + [entity], self._relations)
-
-    def with_relation(self, relation: Relation) -> "RiskGraph":
-        """Return a copy with one relation added."""
-        return RiskGraph(list(self._entities.values()), self._relations + (relation,))
-
 
 def _relation_subjects(rel: Relation) -> tuple[str, str, str]:
     return (rel.kind.value, rel.source, rel.target)
@@ -347,3 +340,19 @@ def validate_structure(graph: RiskGraph) -> list[Violation]:
 
 def _kinds_label(kinds: frozenset[ISSRMConcept]) -> str:
     return " or ".join(sorted(k.value for k in kinds))
+
+
+def render_violations_text(violations: list[Violation]) -> str:
+    lines = [f"violations: {len(violations)}"]
+    lines.extend(
+        f"  {v.severity} {v.code} [{', '.join(v.subjects)}] {v.message}"
+        for v in violations
+    )
+    return "\n".join(lines) + "\n"
+
+
+def render_violations_records(violations: list[Violation]) -> str:
+    return recordio.join_records(
+        ("V", str(v.severity), v.code, ",".join(v.subjects), v.message)
+        for v in violations
+    )

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, output formats, error reporting."""
 
 import os
+import pyexpat
 import re
 import subprocess
 import sys
@@ -697,6 +698,69 @@ class TestInputEncoding:
         assert err == (
             f"error: cannot read {bad}: not valid UTF-8 at byte offset {offset}\n"
         )
+
+    @pytest.mark.parametrize(
+        "kind", ["model", "tab", "ruleset", "overlay", "register"]
+    )
+    def test_byte_order_mark_is_dropped(
+        self, capsys, lab, fixtures_dir, tmp_path, kind
+    ):
+        paths = {
+            "model": lab["model"],
+            "tab": lab["tab"],
+            "ruleset": str(fixtures_dir / "golden" / "archimate21.rules"),
+            "overlay": lab["overlay"],
+            "register": lab["register"],
+        }
+
+        def trace_r1(model):
+            return run(
+                capsys, "trace", "r1", "--model", paths[model],
+                "--ruleset", paths["ruleset"], "--overlay", paths["overlay"],
+                "--register", paths["register"],
+            )
+
+        model = "tab" if kind == "tab" else "model"
+        plain = trace_r1(model)
+        marked = tmp_path / f"bom-{kind}"
+        with open(paths[kind], "rb") as handle:
+            marked.write_bytes(b"\xef\xbb\xbf" + handle.read())
+        paths[kind] = str(marked)
+        assert plain[0] == 0
+        assert trace_r1(model) == plain
+
+    def test_offsets_count_the_byte_order_mark(self, capsys, lab, tmp_path):
+        bad = tmp_path / "bom-bad.tab"
+        with open(lab["tab"], "rb") as handle:
+            bad.write_bytes(b"\xef\xbb\xbf" + handle.read(10) + b"\xff")
+        code, out, err = run(capsys, "import", "--model", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read {bad}: not valid UTF-8 at byte offset 13\n"
+
+
+class TestHostileXml:
+    @pytest.mark.skipif(
+        pyexpat.version_info < (2, 4, 0),
+        reason="expat before 2.4 has no entity amplification limit",
+    )
+    def test_entity_expansion_is_an_input_error(self, capsys, tmp_path):
+        entities = ['<!ENTITY lol0 "lol">'] + [
+            f'<!ENTITY lol{i} "{f"&lol{i - 1};" * 10}">' for i in range(1, 10)
+        ]
+        bomb = write(
+            tmp_path,
+            "bomb.xml",
+            '<?xml version="1.0"?>\n<!DOCTYPE model [\n'
+            + "\n".join(entities)
+            + '\n]>\n<model><elements><element identifier="e1" type="Device">'
+            "<name>&lol9;</name></element></elements></model>\n",
+        )
+        code, out, err = run(capsys, "import", "--model", bomb)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: line ")
+        assert "not well-formed XML" in err
+        assert "Traceback" not in err
 
 
 class TestXmlLineBreaks:
