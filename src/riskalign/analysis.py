@@ -10,13 +10,16 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .classify import ClassificationSet
 from .concepts import ISSRMConcept
 from .errors import PropagationSeedError, UnknownElementError
 from .eamodel import normalize_name
-from .register import CriterionSpec, RiskRegister
 from . import recordio
+
+if TYPE_CHECKING:
+    from .register import CriterionSpec, RiskRegister
 
 __all__ = [
     "impact_propagation",

@@ -5,6 +5,10 @@ first non-space byte), run one analysis, and write the report to --out or
 standard output. Exit codes: 0 success, 1 when the produced report contains
 ERROR findings or unknown elements, 2 for usage and input errors. Output is
 byte-identical across runs unless --stamp is given.
+
+Only the modules every subcommand needs are imported here; each loader and
+subcommand imports the rest where it uses them, so a call loads only the
+modules its subcommand runs.
 """
 
 from __future__ import annotations
@@ -12,33 +16,10 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import time
 from collections.abc import Callable
-from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
-from .analysis import (
-    coverage,
-    impact_propagation,
-    render_coverage_records,
-    render_coverage_text,
-    render_propagation_records,
-    render_propagation_text,
-    render_trace_records,
-    render_trace_text,
-    trace,
-)
-from .archimate_xml import import_archimate
-from .builtin_tables import builtin_ruleset
-from .classify import (
-    ClassificationSet,
-    apply_review,
-    classify_model,
-    parse_overlay,
-    render_facts_records,
-    render_facts_text,
-    render_unmapped_records,
-    render_unmapped_text,
-    unmapped_report,
-)
 from .eamodel import (
     FRAMEWORKS,
     EAModel,
@@ -49,10 +30,12 @@ from .eamodel import (
     render_neighbors_text,
 )
 from .errors import InputError
-from .mappings import Ruleset, parse_ruleset
-from .register import RiskRegister, parse_risk_catalog, validate_register
-from .riskgraph import Severity, render_violations_records, render_violations_text
 from . import recordio
+
+if TYPE_CHECKING:
+    from .classify import ClassificationSet
+    from .mappings import Ruleset
+    from .register import RiskRegister
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -188,6 +171,8 @@ def _read_text(path: str) -> str:
 def _load_model(path: str) -> EAModel:
     text = _read_text(path)
     if text.lstrip()[:1] == "<":
+        from .archimate_xml import import_archimate
+
         model = import_archimate(text, source=path)
     else:
         model = parse_tabular(text, source=path)
@@ -198,11 +183,17 @@ def _load_model(path: str) -> EAModel:
 
 def _load_ruleset(ref: str) -> Ruleset:
     if ref in FRAMEWORKS:
+        from .builtin_tables import builtin_ruleset
+
         return builtin_ruleset(ref)
+    from .mappings import parse_ruleset
+
     return parse_ruleset(_read_text(ref))
 
 
 def _classification(args: argparse.Namespace) -> ClassificationSet:
+    from .classify import apply_review, classify_model, parse_overlay
+
     model = _load_model(args.model)
     result = classify_model(_load_ruleset(args.ruleset), model)
     overlay_path = getattr(args, "overlay", None)
@@ -213,6 +204,8 @@ def _classification(args: argparse.Namespace) -> ClassificationSet:
 
 def _load_register(args: argparse.Namespace,
                    classification: ClassificationSet) -> RiskRegister:
+    from .register import parse_risk_catalog
+
     return parse_risk_catalog(_read_text(args.register), classification)
 
 
@@ -228,7 +221,7 @@ def _kinds(args: argparse.Namespace) -> set[str] | None:
 
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.stamp:
-        now = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+        now = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         text = f"# generated {now}\n{text}"
     if args.out:
         try:
@@ -256,6 +249,8 @@ def _cmd_import(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from .classify import render_facts_records, render_facts_text
+
     result = _classification(args)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -264,6 +259,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .register import validate_register
+    from .riskgraph import Severity, render_violations_records, render_violations_text
+
     result = _classification(args)
     violations = validate_register(_load_register(args, result))
     _report(args, render_violations_text, render_violations_records, violations)
@@ -274,17 +272,23 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     result = _classification(args)
     if args.kind == "unmapped":
+        from .classify import render_unmapped_records, render_unmapped_text, unmapped_report
+
         entries = unmapped_report(result)
         _report(args, render_unmapped_text, render_unmapped_records, entries)
         return 0
     if not args.register:
         raise InputError("report coverage needs --register")
+    from .analysis import coverage, render_coverage_records, render_coverage_text
+
     report = coverage(_load_register(args, result))
     _report(args, render_coverage_text, render_coverage_records, report)
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from .analysis import render_trace_records, render_trace_text, trace
+
     result = _classification(args)
     tree = trace(_load_register(args, result), args.risk_id, _kinds(args))
     _report(args, render_trace_text, render_trace_records, tree)
@@ -294,6 +298,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     result = _classification(args)
     if args.what == "supports":
+        from .analysis import (
+            impact_propagation,
+            render_propagation_records,
+            render_propagation_text,
+        )
+
         seeds = recordio.split_list(args.arg)
         if not seeds:
             raise InputError("supports needs at least one seed element id")
@@ -301,6 +311,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
         _report(args, render_propagation_text, render_propagation_records, reached)
         return 0
     if args.what == "facts":
+        from .classify import ClassificationSet, render_facts_records, render_facts_text
+
         element = result.model.element(args.arg)  # raises for unknown ids
         subset = ClassificationSet(
             model=result.model,

@@ -219,7 +219,10 @@ def parse_condition(text: str) -> AttributeEquals | None:
     key, sep, value = text.partition("=")
     if not sep or not key.strip() or not value.strip():
         raise ValueError(f"malformed condition {text!r}; expected key=value")
-    return AttributeEquals(key.strip(), value.strip())
+    key = key.strip()
+    if any(char.isspace() for char in key):
+        raise ValueError(f"malformed condition {text!r}; key {key!r} contains whitespace")
+    return AttributeEquals(key, value.strip())
 
 
 # --- rules and rulesets --------------------------------------------------------

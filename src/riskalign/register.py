@@ -20,7 +20,8 @@ CTRL records, and a criterion any IMPACT that negates it.
     REQ|<treatment>|<id>|<text>
     CTRL|<requirement>|<id>|<text>
 
-Id lists are comma separated and may be empty.
+Id lists are comma separated and may be empty. Declared ids may not
+contain "::", which names the entities induced_graph derives from a risk.
 """
 
 from __future__ import annotations
@@ -150,6 +151,11 @@ def parse_risk_catalog(text: str, classification: ClassificationSet) -> RiskRegi
             raise CatalogFormatError("record with empty id", lineno)
         if record_id in declared:
             raise CatalogFormatError(f"duplicate id {record_id!r}", lineno)
+        if "::" in record_id:
+            raise CatalogFormatError(
+                f"id {record_id!r} contains '::', which is reserved for derived ids",
+                lineno,
+            )
         if record_id in model:
             raise CatalogFormatError(
                 f"id {record_id!r} collides with a model element id", lineno

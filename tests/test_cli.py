@@ -319,6 +319,27 @@ class TestValidate:
         assert code == 2
         assert err.startswith("error: line 1:")
 
+    def test_derived_id_in_register_is_an_input_error(self, capsys, lab, tmp_path):
+        register = write(
+            tmp_path, "derived.risk", "RISK|r1|A\nVULN|r1|v|\nRISK|r1::vuln1|B\n"
+        )
+        code, out, err = run(
+            capsys,
+            "validate",
+            "--model",
+            lab["model"],
+            "--ruleset",
+            "archimate21",
+            "--register",
+            register,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: line 3: id 'r1::vuln1' contains '::', which is reserved for"
+            " derived ids\n"
+        )
+
 
 class TestReport:
     def test_unmapped_empty_for_the_lab_model(self, capsys, lab):

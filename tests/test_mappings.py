@@ -160,6 +160,13 @@ def test_parse_condition():
         parse_condition("=x")
 
 
+def test_parse_condition_rejects_whitespace_in_the_key():
+    # An "IF" keyword would otherwise become part of a key no attribute has.
+    with pytest.raises(ValueError, match="contains whitespace"):
+        parse_condition("IF a=b")
+    assert parse_condition(" a =b") == AttributeEquals("a", "b")
+
+
 # --- source synonyms ----------------------------------------------------------------
 
 def test_synonyms_always_include_the_printed_label():
@@ -353,3 +360,10 @@ def test_parse_ruleset_errors_carry_line_numbers(text, line):
 def test_parse_ruleset_empty_text():
     with pytest.raises(RulesetFormatError):
         parse_ruleset("# only a comment\n")
+
+
+def test_parse_ruleset_rejects_a_condition_key_with_whitespace():
+    text = "RULESET|iaf|x\nrole|Business|Asset||IF carries_information=true|\n"
+    with pytest.raises(RulesetFormatError, match="contains whitespace") as exc:
+        parse_ruleset(text)
+    assert exc.value.line == 2

@@ -158,6 +158,19 @@ def test_criterion_must_be_declared_before_negation():
 
 # --- binding --------------------------------------------------------------------------
 
+@pytest.mark.parametrize(
+    "line",
+    ["RISK|r1::vuln1|B", "CRIT|c::1|Name|", "TREAT|r1|r1::event|text"],
+)
+def test_declared_ids_may_not_take_derived_names(line):
+    # induced_graph names a risk's parts <risk>::event, ::vulnN and so on; a
+    # declared id of that shape would silently replace one of them.
+    text = "RISK|r1|A\nVULN|r1|v|\n" + line + "\n"
+    with pytest.raises(CatalogFormatError, match="'::'") as exc:
+        parse_risk_catalog(text, classification_of(SMALL))
+    assert exc.value.line == 3
+
+
 def test_bound_concept_prefers_strongest_definite(lab_reviewed):
     assert bound_concept(lab_reviewed, "dev-tablet") is C.IS_ASSET
     assert bound_concept(lab_reviewed, "bs-home-blood-taking") is C.BUSINESS_ASSET

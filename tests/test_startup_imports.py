@@ -1,0 +1,175 @@
+"""Start-up cost: a CLI call loads only the modules its subcommand runs.
+
+The subprocess tests start a fresh interpreter, note its sys.modules, then
+run cli.main once per command line and report which modules each step has
+added since, so every check compares against a bare interpreter.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import riskalign
+
+FIXTURES = Path(__file__).parent / "fixtures"
+TAB = str(FIXTURES / "lab_model.tab")
+XML = str(FIXTURES / "lab_model.xml")
+OVERLAY = str(FIXTURES / "lab.overlay")
+REGISTER = str(FIXTURES / "lab.risk")
+LAB = ["--model", TAB, "--ruleset", "archimate21", "--overlay", OVERLAY]
+
+# The public names of the package by home module; each must stay exported.
+EXPORTS = {
+    "analysis": ["CoverageReport", "TraceNode", "coverage", "impact_propagation", "trace"],
+    "archimate_xml": ["import_archimate"],
+    "builtin_tables": ["builtin_ruleset", "builtin_table_text"],
+    "classify": [
+        "ClassificationFact", "ClassificationSet", "ReviewEntry", "ReviewOverlay",
+        "Tier", "apply_review", "classify_element", "classify_model",
+        "parse_overlay", "tier_of", "unmapped_report",
+    ],
+    "concepts": ["CatalogEntry", "ISSRMConcept", "concept_catalog", "parse_concept"],
+    "eamodel": [
+        "EAElement", "EAModel", "EARelationship", "export_tabular", "neighbors",
+        "normalize_name", "parse_tabular",
+    ],
+    "errors": ["InputError", "RiskAlignError"],
+    "mappings": [
+        "AlignmentRule", "AnnotationTarget", "AttributeTarget", "CompositeTarget",
+        "ConceptTarget", "MappingKind", "MappingType", "NoTarget", "Ruleset",
+        "parse_ruleset", "resolve_rules", "serialize_ruleset", "source_synonyms",
+    ],
+    "register": [
+        "RiskCase", "RiskRegister", "induced_graph", "parse_risk_catalog",
+        "validate_register",
+    ],
+    "riskgraph": [
+        "Entity", "Relation", "RelationKind", "RiskGraph", "Severity", "Violation",
+        "validate_structure",
+    ],
+}
+SUBMODULES = [*EXPORTS, "cli", "recordio"]
+
+STEPS_CHILD = """\
+import sys
+bare = set(sys.modules)
+from riskalign import cli
+for argv in {steps!r}:
+    code = cli.main(argv)
+    print(repr((code, sorted(set(sys.modules) - bare))))
+"""
+
+
+def run_child(code: str) -> str:
+    """Run code in a fresh interpreter that imports this process's riskalign."""
+    src = str(Path(riskalign.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def loaded_after_each(tmp_path, *steps: list[str]) -> list[set[str]]:
+    """Modules a fresh interpreter has added after each command line."""
+    out = str(tmp_path / "out.txt")
+    argvs = [[*step, "--out", out] for step in steps]
+    lines = run_child(STEPS_CHILD.format(steps=argvs)).splitlines()
+    assert len(lines) == len(steps)
+    loaded = []
+    for line in lines:
+        code, modules = ast.literal_eval(line)
+        assert code in (0, 1)
+        loaded.append(set(modules))
+    return loaded
+
+
+def ours(modules: set[str]) -> set[str]:
+    return {name for name in modules if name.split(".")[0] == "riskalign"}
+
+
+def test_commands_without_a_register_load_no_register_modules(tmp_path):
+    loaded = loaded_after_each(
+        tmp_path,
+        ["import", "--model", TAB],
+        ["classify", *LAB],
+        ["review", *LAB],
+        ["query", "facts", "dev-tablet", *LAB],
+        ["query", "neighbors", "dev-tablet", *LAB],
+        ["report", "unmapped", *LAB],
+        ["query", "supports", "dev-tablet", *LAB],
+        ["classify", *LAB, "--stamp"],
+    )
+    assert ours(loaded[0]) == {
+        "riskalign", "riskalign.cli", "riskalign.eamodel", "riskalign.errors",
+        "riskalign.recordio",
+    }
+    for modules in loaded[1:6]:
+        assert not ours(modules) & {
+            "riskalign.register", "riskalign.riskgraph", "riskalign.analysis"
+        }
+    assert "riskalign.analysis" in loaded[6]
+    assert not ours(loaded[6]) & {"riskalign.register", "riskalign.riskgraph"}
+    for modules in loaded:
+        assert "datetime" not in modules
+        assert "xml.etree.ElementTree" not in modules
+        assert "riskalign.archimate_xml" not in modules
+
+
+def test_validate_loads_no_analysis_and_xml_loads_on_demand(tmp_path):
+    loaded = loaded_after_each(
+        tmp_path,
+        ["validate", *LAB, "--register", REGISTER],
+        ["import", "--model", XML],
+    )
+    assert {"riskalign.register", "riskalign.riskgraph"} <= loaded[0]
+    assert "riskalign.analysis" not in loaded[0]
+    assert "xml.etree.ElementTree" not in loaded[0]
+    assert {"riskalign.archimate_xml", "xml.etree.ElementTree"} <= loaded[1]
+
+
+def test_import_riskalign_loads_no_submodule():
+    code = "import sys, riskalign\nprint(sorted(sys.modules))"
+    modules = ast.literal_eval(run_child(code))
+    assert ours(set(modules)) == {"riskalign"}
+
+
+def test_submodules_resolve_as_attributes_in_a_fresh_interpreter():
+    code = (
+        "import riskalign\n"
+        f"print([getattr(riskalign, name).__name__ for name in {SUBMODULES!r}])"
+    )
+    names = ast.literal_eval(run_child(code))
+    assert names == [f"riskalign.{name}" for name in SUBMODULES]
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_exported_names_are_their_home_module_objects(module):
+    home = importlib.import_module(f"riskalign.{module}")
+    for name in EXPORTS[module]:
+        assert getattr(riskalign, name) is getattr(home, name)
+
+
+def test_star_import_binds_every_exported_name():
+    namespace: dict[str, object] = {}
+    exec("from riskalign import *", namespace)
+    for names in EXPORTS.values():
+        for name in names:
+            assert namespace[name] is getattr(riskalign, name)
+    assert set(riskalign.__all__) == {n for names in EXPORTS.values() for n in names}
+    assert set(riskalign.__all__) <= set(dir(riskalign))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        riskalign.no_such_name  # noqa: B018
+    assert not hasattr(riskalign, "validate_structures")
