@@ -9,8 +9,7 @@ condenses a register into counts and ratios.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .classify import ClassificationSet
 from .concepts import ISSRMConcept
@@ -123,8 +122,7 @@ def _propagate(
 # --- risk trace --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceNode:
+class TraceNode(NamedTuple):
     kind: str
     ref: str  # element/record id, or "" for synthetic nodes
     label: str
@@ -224,8 +222,7 @@ def trace(
 # --- coverage ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     is_asset_count: int
     is_assets_with_vulnerability: int
     risks_total: int

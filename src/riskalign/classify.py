@@ -11,8 +11,8 @@ subtype, or reject candidates.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from .concepts import ISSRMConcept, parse_concept
 from .eamodel import EAElement, EAModel
@@ -70,8 +70,7 @@ def tier_of(mapping_type: MappingType, target: TargetSpec) -> Tier:
     return Tier.RELATED
 
 
-@dataclass(frozen=True)
-class ClassificationFact:
+class ClassificationFact(NamedTuple):
     element_id: str
     target: TargetSpec
     mapping_type: MappingType
@@ -110,7 +109,6 @@ def _fact(element_id: str, rule: AlignmentRule) -> ClassificationFact:
     )
 
 
-@dataclass(frozen=True)
 class ClassificationSet:
     """Outcome of classifying one model with one ruleset.
 
@@ -119,16 +117,25 @@ class ClassificationSet:
     fact, unmapped, unknown.
 
     The per-element lookups read an index built from the facts the first
-    time one is asked for, once per instance; dataclasses.replace gives a
-    new instance with a fresh index.
+    time one is asked for, once per instance; a set built from another's
+    fields gets a fresh index.
     """
 
-    model: EAModel
-    ruleset: Ruleset
-    facts: tuple[ClassificationFact, ...]
-    unmapped: tuple[str, ...]
-    unknown: tuple[str, ...]
-    warnings: tuple[str, ...]
+    def __init__(
+        self,
+        model: EAModel,
+        ruleset: Ruleset,
+        facts: tuple[ClassificationFact, ...],
+        unmapped: tuple[str, ...],
+        unknown: tuple[str, ...],
+        warnings: tuple[str, ...],
+    ):
+        self.model = model
+        self.ruleset = ruleset
+        self.facts = facts
+        self.unmapped = unmapped
+        self.unknown = unknown
+        self.warnings = warnings
 
     def facts_for(self, element_id: str) -> tuple[ClassificationFact, ...]:
         return self._facts_by_element.get(element_id, ())
@@ -213,16 +220,14 @@ def classify_model(ruleset: Ruleset, model: EAModel) -> ClassificationSet:
 # --- review overlays -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReviewEntry:
+class ReviewEntry(NamedTuple):
     element_id: str
     concept: ISSRMConcept
     verdict: str  # "confirm" or "reject"
     note: str = ""
 
 
-@dataclass(frozen=True)
-class ReviewOverlay:
+class ReviewOverlay(NamedTuple):
     entries: tuple[ReviewEntry, ...]
 
 
@@ -277,7 +282,7 @@ def apply_review(
             promotable = [i for i in exact if group[i].tier is Tier.CANDIDATE]
             if promotable:
                 for i in promotable:
-                    group[i] = replace(group[i], tier=Tier.DEFINITE, confirmed=True)
+                    group[i] = group[i]._replace(tier=Tier.DEFINITE, confirmed=True)
                 continue
             if any(group[i].confirmed for i in exact):
                 continue  # idempotent re-confirmation
@@ -298,8 +303,14 @@ def apply_review(
                 )
             for i in sorted(rejectable, reverse=True):
                 del group[i]
-    facts = tuple(fact for group in groups.values() for fact in group)
-    return replace(classification, facts=facts)
+    return ClassificationSet(
+        model=classification.model,
+        ruleset=classification.ruleset,
+        facts=tuple(fact for group in groups.values() for fact in group),
+        unmapped=classification.unmapped,
+        unknown=classification.unknown,
+        warnings=classification.warnings,
+    )
 
 
 def _refine(group: list[ClassificationFact], entry: ReviewEntry) -> bool:
@@ -310,9 +321,7 @@ def _refine(group: list[ClassificationFact], entry: ReviewEntry) -> bool:
     refined = False
     for i, fact in enumerate(group):
         if fact.target == asset_target and fact.tier is Tier.DEFINITE:
-            group[i] = replace(
-                fact, target=ConceptTarget(entry.concept), confirmed=True
-            )
+            group[i] = fact._replace(target=ConceptTarget(entry.concept), confirmed=True)
             refined = True
     return refined
 
@@ -335,8 +344,7 @@ def _confirm_error(
 # --- reports ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnmappedEntry:
+class UnmappedEntry(NamedTuple):
     element_id: str
     name: str
     concept_name: str

@@ -25,6 +25,7 @@ from .eamodel import (
     EAModel,
     export_tabular,
     neighbors,
+    normalize_name,
     parse_tabular,
     render_neighbors_records,
     render_neighbors_text,
@@ -209,14 +210,23 @@ def _load_register(args: argparse.Namespace,
     return parse_risk_catalog(_read_text(args.register), classification)
 
 
-def _kinds(args: argparse.Namespace) -> set[str] | None:
+def _kinds(args: argparse.Namespace, model: EAModel) -> set[str] | None:
+    """The --supports-kinds set; warns once per kind the model never uses."""
     raw = getattr(args, "supports_kinds", None)
     if raw is None:
         return None
-    kinds = set(recordio.split_list(raw))
+    kinds = recordio.split_list(raw)
     if not kinds:
         raise InputError("--supports-kinds given but names no kinds")
-    return kinds
+    present = {rel.kind for rel in model.relationships}
+    for kind in dict.fromkeys(kinds):
+        if normalize_name(kind) not in present:
+            print(
+                f"warning: --supports-kinds names {kind!r}, "
+                "which no relationship in the model has",
+                file=sys.stderr,
+            )
+    return set(kinds)
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -290,7 +300,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from .analysis import render_trace_records, render_trace_text, trace
 
     result = _classification(args)
-    tree = trace(_load_register(args, result), args.risk_id, _kinds(args))
+    tree = trace(_load_register(args, result), args.risk_id, _kinds(args, result.model))
     _report(args, render_trace_text, render_trace_records, tree)
     return 0
 
@@ -307,7 +317,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         seeds = recordio.split_list(args.arg)
         if not seeds:
             raise InputError("supports needs at least one seed element id")
-        reached = impact_propagation(result, seeds, _kinds(args))
+        reached = impact_propagation(result, seeds, _kinds(args, result.model))
         _report(args, render_propagation_text, render_propagation_records, reached)
         return 0
     if args.what == "facts":

@@ -16,7 +16,7 @@ export of a model yields an equal model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     DuplicateIdError,
@@ -45,16 +45,26 @@ def normalize_name(name: str) -> str:
     return " ".join(name.split()).lower()
 
 
-@dataclass(frozen=True)
-class EAElement:
+class _ElementFields(NamedTuple):
     id: str
     concept_name: str  # normalized framework concept, e.g. "business process"
-    name: str = ""
-    attributes: dict[str, str] = field(default_factory=dict)
+    name: str
+    attributes: dict[str, str]
 
 
-@dataclass(frozen=True)
-class EARelationship:
+class EAElement(_ElementFields):
+    """A model element; each one built without attributes gets its own dict."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, id: str, concept_name: str, name: str = "", attributes: dict[str, str] | None = None
+    ) -> EAElement:
+        attributes = {} if attributes is None else attributes
+        return super().__new__(cls, id, concept_name, name, attributes)
+
+
+class EARelationship(NamedTuple):
     id: str
     kind: str  # normalized framework relationship name, e.g. "assignment"
     source: str

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .concepts import ISSRMConcept, parse_concept
 from .eamodel import check_framework, normalize_name
@@ -50,8 +50,7 @@ _STANDARD_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class MappingType:
+class MappingType(NamedTuple):
     """A semantic mapping relation, read "source is a <kind> of target".
 
     Non-standard table tokens are carried verbatim in text; unspecified
@@ -103,31 +102,41 @@ def parse_mapping_type(token: str) -> MappingType:
 # --- target specifications ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConceptTarget:
+class ConceptTarget(NamedTuple):
     concept: ISSRMConcept
 
 
-@dataclass(frozen=True)
-class AttributeTarget:
+class AttributeTarget(NamedTuple):
     """An attribute of a concept; attribute "*" means the cell named none."""
 
     concept: ISSRMConcept
     attribute: str
 
 
-@dataclass(frozen=True)
-class CompositeTarget:
+class CompositeTarget(NamedTuple):
     concepts: tuple[ISSRMConcept, ...]
 
 
-@dataclass(frozen=True)
 class AnnotationTarget:
-    """The table cell "attributes of the concepts" as a whole."""
+    """The table cell "attributes of the concepts" as a whole.
+
+    A plain class, not an empty tuple, so it is truthy and equals only
+    another AnnotationTarget.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is AnnotationTarget
+
+    def __hash__(self) -> int:
+        return hash(AnnotationTarget)
+
+    def __repr__(self) -> str:
+        return "AnnotationTarget()"
 
 
-@dataclass(frozen=True)
-class NoTarget:
+class NoTarget(NamedTuple):
     reason: str = ""
 
 
@@ -190,8 +199,7 @@ def serialize_target(target: TargetSpec) -> str:
 # --- conditions ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AttributeEquals:
+class AttributeEquals(NamedTuple):
     """Predicate over element attributes.
 
     Values "true"/"false" are boolean-valued: a missing attribute counts as
@@ -228,8 +236,7 @@ def parse_condition(text: str) -> AttributeEquals | None:
 # --- rules and rulesets --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AlignmentRule:
+class AlignmentRule(NamedTuple):
     framework: str
     row: int  # 1-based table row; multi-rule rows share the index
     section: str

@@ -26,8 +26,8 @@ contain "::", which names the entities induced_graph derives from a risk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .classify import ClassificationSet, Tier
 from .concepts import ASSET_KINDS, ISSRMConcept
@@ -38,68 +38,68 @@ from .riskgraph import Entity, Relation, RelationKind, RiskGraph, Violation, val
 from . import recordio
 
 
-@dataclass(frozen=True)
-class ThreatSpec:
+class ThreatSpec(NamedTuple):
     agent: str  # display name; empty when the catalog says "-"
     method: str
     targets: tuple[str, ...]  # model element ids
 
 
-@dataclass(frozen=True)
-class VulnerabilitySpec:
+class VulnerabilitySpec(NamedTuple):
     text: str
     elements: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ImpactSpec:
+class ImpactSpec(NamedTuple):
     text: str
     harmed: tuple[str, ...]
     negated: tuple[str, ...]  # criterion ids
 
 
-@dataclass(frozen=True)
-class ControlSpec:
+class ControlSpec(NamedTuple):
     id: str
     text: str
 
 
-@dataclass(frozen=True)
-class RequirementSpec:
+class RequirementSpec(NamedTuple):
     id: str
     text: str
     controls: tuple[ControlSpec, ...] = ()
 
 
-@dataclass(frozen=True)
-class TreatmentSpec:
+class TreatmentSpec(NamedTuple):
     id: str
     text: str
     requirements: tuple[RequirementSpec, ...] = ()
 
 
-@dataclass(frozen=True)
-class CriterionSpec:
+class CriterionSpec(NamedTuple):
     id: str
     name: str
     constrains: tuple[str, ...]  # model element ids
 
 
-@dataclass
 class RiskCase:
-    id: str
-    name: str
-    threat: ThreatSpec | None = None
-    vulnerabilities: list[VulnerabilitySpec] = field(default_factory=list)
-    impacts: list[ImpactSpec] = field(default_factory=list)
-    treatments: list[TreatmentSpec] = field(default_factory=list)
+    """One risk; parsing fills in its threat and appends the other parts."""
+
+    def __init__(self, id: str, name: str):
+        self.id = id
+        self.name = name
+        self.threat: ThreatSpec | None = None
+        self.vulnerabilities: list[VulnerabilitySpec] = []
+        self.impacts: list[ImpactSpec] = []
+        self.treatments: list[TreatmentSpec] = []
 
 
-@dataclass(frozen=True)
 class RiskRegister:
-    classification: ClassificationSet
-    risks: tuple[RiskCase, ...]
-    criteria: tuple[CriterionSpec, ...]
+    def __init__(
+        self,
+        classification: ClassificationSet,
+        risks: tuple[RiskCase, ...],
+        criteria: tuple[CriterionSpec, ...],
+    ):
+        self.classification = classification
+        self.risks = risks
+        self.criteria = criteria
 
     @property
     def model(self) -> EAModel:
@@ -116,13 +116,13 @@ class RiskRegister:
         return {case.id: case for case in self.risks}
 
 
-@dataclass
 class _Draft:
     """A treatment or requirement whose REQ or CTRL children are still being read."""
 
-    id: str
-    text: str
-    children: list = field(default_factory=list)
+    def __init__(self, id: str, text: str):
+        self.id = id
+        self.text = text
+        self.children: list = []
 
 
 # Fields per catalog record, the tag included.

@@ -10,7 +10,7 @@ threads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .concepts import ASSET_KINDS, ISSRMConcept
 from .errors import DuplicateIdError
@@ -36,15 +36,13 @@ class RelationKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Entity:
+class Entity(NamedTuple):
     id: str
     concept: ISSRMConcept
     name: str = ""
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     kind: RelationKind
     source: str
     target: str
@@ -84,17 +82,25 @@ SEVERITY_BY_CODE: dict[str, Severity] = {
 }
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One structural finding.
 
     Identity is (code, subjects) only; the message is presentation and never
-    affects equality, hashing or ordering.
+    affects equality, hashing or sort_key.
     """
 
     code: str
     subjects: tuple[str, ...]
-    message: str = field(default="", compare=False)
+    message: str = ""
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Violation and self.sort_key() == other.sort_key()
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self.sort_key())
 
     @property
     def severity(self) -> Severity:
@@ -217,10 +223,6 @@ class RiskGraph:
         return self._entities.get(entity_id)
 
 
-def _relation_subjects(rel: Relation) -> tuple[str, str, str]:
-    return (rel.kind.value, rel.source, rel.target)
-
-
 def validate_structure(graph: RiskGraph) -> list[Violation]:
     """Check a risk graph against the structural rules.
 
@@ -240,25 +242,26 @@ def validate_structure(graph: RiskGraph) -> list[Violation]:
     in_event: set[str] = set()  # entities part_of some event
     characterizes: set[str] = set()  # sources of characteristic_of edges
 
-    for rel in graph.relations:
-        subjects = _relation_subjects(rel)
-        src = entities.get(rel.source)
-        dst = entities.get(rel.target)
+    # Unpack each relation once: NamedTuple field reads cost more than locals.
+    for kind, source, target in graph.relations:
+        subjects = (kind.value, source, target)
+        src = entities.get(source)
+        dst = entities.get(target)
         if src is None or dst is None:
-            missing = rel.source if src is None else rel.target
+            missing = source if src is None else target
             emit(
                 "REL_ENDPOINT_MISSING",
                 subjects,
-                f"{rel.kind} endpoint {missing!r} is not an entity in the graph",
+                f"{kind} endpoint {missing!r} is not an entity in the graph",
             )
             continue
-        if rel.kind is RelationKind.CHARACTERISTIC_OF:
-            characterizes.add(src.id)
-        if rel.kind is RelationKind.PART_OF:
+        if kind is RelationKind.CHARACTERISTIC_OF:
+            characterizes.add(source)
+        if kind is RelationKind.PART_OF:
             if dst.concept is ISSRMConcept.EVENT:
-                in_event.add(src.id)
+                in_event.add(source)
             if (src.concept, dst.concept) in PART_OF_PAIRS:
-                parts[dst.id].append(src)
+                parts[target].append(src)
             else:
                 emit(
                     "PART_OF_PAIR",
@@ -266,72 +269,72 @@ def validate_structure(graph: RiskGraph) -> list[Violation]:
                     f"{src.concept} cannot be part of {dst.concept}",
                 )
             continue
-        source_kinds, target_kinds, target_code = _ENDPOINT_RULES[rel.kind]
+        source_kinds, target_kinds, target_code = _ENDPOINT_RULES[kind]
         if src.concept not in source_kinds:
             emit(
                 _SOURCE,
                 subjects,
-                f"{rel.kind} source must be "
+                f"{kind} source must be "
                 f"{_kinds_label(source_kinds)}, got {src.concept}",
             )
         if dst.concept not in target_kinds:
             emit(
                 target_code,
                 subjects,
-                f"{rel.kind} target must be "
+                f"{kind} target must be "
                 f"{_kinds_label(target_kinds)}, got {dst.concept}",
             )
 
-    for ent in entities.values():
-        if ent.concept is ISSRMConcept.ATTRIBUTE_ANNOTATION:
+    for ent_id, concept, _ in entities.values():
+        if concept is ISSRMConcept.ATTRIBUTE_ANNOTATION:
             emit(
                 "ENT_PSEUDO_CONCEPT",
-                (ent.id,),
+                (ent_id,),
                 "AttributeAnnotation marks rule targets and cannot type an entity",
             )
-        own_parts = parts[ent.id]
+        own_parts = parts[ent_id]
 
-        if ent.concept is ISSRMConcept.EVENT:
+        if concept is ISSRMConcept.EVENT:
             threats = [p for p in own_parts if p.concept is ISSRMConcept.THREAT]
             vulns = [p for p in own_parts if p.concept is ISSRMConcept.VULNERABILITY]
             if len(threats) > 1:
-                emit("EVT_MULTI_THREAT", (ent.id,), "event has more than one threat part")
+                emit("EVT_MULTI_THREAT", (ent_id,), "event has more than one threat part")
             if own_parts:
                 if not threats:
-                    emit("EVT_NO_THREAT", (ent.id,), "event has no threat part")
+                    emit("EVT_NO_THREAT", (ent_id,), "event has no threat part")
                 if not vulns:
-                    emit("EVT_NO_VULN", (ent.id,), "event has no vulnerability part")
+                    emit("EVT_NO_VULN", (ent_id,), "event has no vulnerability part")
 
-        elif ent.concept is ISSRMConcept.RISK:
+        elif concept is ISSRMConcept.RISK:
             events = [p for p in own_parts if p.concept is ISSRMConcept.EVENT]
             impacts = [p for p in own_parts if p.concept is ISSRMConcept.IMPACT]
             if len(events) > 1:
-                emit("RISK_MULTI_EVENT", (ent.id,), "risk has more than one event part")
+                emit("RISK_MULTI_EVENT", (ent_id,), "risk has more than one event part")
             if own_parts:
                 if not events:
-                    emit("RISK_NO_EVENT", (ent.id,), "risk has no event part")
+                    emit("RISK_NO_EVENT", (ent_id,), "risk has no event part")
                 if not impacts:
-                    emit("RISK_NO_IMPACT", (ent.id,), "risk has no impact part")
+                    emit("RISK_NO_IMPACT", (ent_id,), "risk has no impact part")
 
-        elif ent.concept is ISSRMConcept.THREAT:
+        elif concept is ISSRMConcept.THREAT:
             agents = [p for p in own_parts if p.concept is ISSRMConcept.THREAT_AGENT]
             methods = [p for p in own_parts if p.concept is ISSRMConcept.ATTACK_METHOD]
             if len(agents) > 1:
-                emit("THR_MULTI_AGENT", (ent.id,), "threat has more than one agent part")
+                emit("THR_MULTI_AGENT", (ent_id,), "threat has more than one agent part")
             if len(methods) > 1:
-                emit("THR_MULTI_METHOD", (ent.id,), "threat has more than one method part")
-            if ent.id in in_event and (not agents or not methods):
+                emit("THR_MULTI_METHOD", (ent_id,), "threat has more than one method part")
+            if ent_id in in_event and (not agents or not methods):
                 emit(
                     "THR_INCOMPLETE",
-                    (ent.id,),
+                    (ent_id,),
                     "threat in an event lacks an agent or attack method",
                 )
 
-        elif ent.concept is ISSRMConcept.VULNERABILITY:
-            if ent.id in in_event and ent.id not in characterizes:
+        elif concept is ISSRMConcept.VULNERABILITY:
+            if ent_id in in_event and ent_id not in characterizes:
                 emit(
                     "VULN_NO_ISASSET",
-                    (ent.id,),
+                    (ent_id,),
                     "vulnerability in an event is not a characteristic of any IS asset",
                 )
 

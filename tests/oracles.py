@@ -8,7 +8,6 @@ list-scanning review, relation rescans for part_of, and one full
 impact_propagation per traced IS asset.
 """
 
-import dataclasses
 import heapq
 import random
 from collections import defaultdict
@@ -179,11 +178,12 @@ class ScanningClassification(ClassificationSet):
         return frozenset(definite_set(self, concept))
 
 
-def scanning(classification):
-    fields = dataclasses.fields(ClassificationSet)
-    return ScanningClassification(
-        **{f.name: getattr(classification, f.name) for f in fields}
-    )
+_SET_FIELDS = ("model", "ruleset", "facts", "unmapped", "unknown", "warnings")
+
+
+def scanning(classification, **changes):
+    fields = {name: getattr(classification, name) for name in _SET_FIELDS}
+    return ScanningClassification(**{**fields, **changes})
 
 
 _REFINABLE = {ISSRMConcept.BUSINESS_ASSET, ISSRMConcept.IS_ASSET}
@@ -207,9 +207,7 @@ def apply_review_scan(classification, overlay):
             promotable = [i for i in exact if facts[i].tier is Tier.CANDIDATE]
             if promotable:
                 for i in promotable:
-                    facts[i] = dataclasses.replace(
-                        facts[i], tier=Tier.DEFINITE, confirmed=True
-                    )
+                    facts[i] = facts[i]._replace(tier=Tier.DEFINITE, confirmed=True)
                 continue
             if any(facts[i].confirmed for i in exact):
                 continue
@@ -226,7 +224,7 @@ def apply_review_scan(classification, overlay):
             )
         for i in sorted(rejectable, reverse=True):
             del facts[i]
-    return dataclasses.replace(classification, facts=tuple(facts))
+    return scanning(classification, facts=tuple(facts))
 
 
 def _refine_scan(facts, entry):
@@ -240,9 +238,7 @@ def _refine_scan(facts, entry):
             and fact.target == asset_target
             and fact.tier is Tier.DEFINITE
         ):
-            facts[i] = dataclasses.replace(
-                fact, target=ConceptTarget(entry.concept), confirmed=True
-            )
+            facts[i] = fact._replace(target=ConceptTarget(entry.concept), confirmed=True)
             refined = True
     return refined
 

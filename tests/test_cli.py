@@ -522,8 +522,38 @@ class TestTrace:
         assert code == 2
         assert err == "error: --supports-kinds given but names no kinds\n"
 
+    def test_unknown_supports_kind_warns_and_keeps_the_answer(self, capsys, lab):
+        argv = [
+            "trace", "r1", "--model", lab["model"], "--ruleset", "archimate21",
+            "--overlay", lab["overlay"], "--register", lab["register"],
+            "--supports-kinds",
+        ]
+        _, want, _ = run(capsys, *argv, "association")
+        code, out, err = run(capsys, *argv, "association, bogus")
+        assert code == 0
+        assert out == want
+        assert err == (
+            "warning: --supports-kinds names 'bogus', "
+            "which no relationship in the model has\n"
+        )
+
 
 class TestQuery:
+    def test_unknown_supports_kinds_warn_once_each(self, capsys, lab):
+        argv = [
+            "query", "supports", "dev-tablet", "--model", lab["model"],
+            "--ruleset", "archimate21", "--supports-kinds",
+        ]
+        _, want, _ = run(capsys, *argv, "Serving, realization")
+        code, out, err = run(capsys, *argv, "nope,Serving,bogus,realization,nope")
+        assert code == 0
+        assert out == want != "supported business assets: 0\n"
+        assert err.splitlines() == [
+            f"warning: --supports-kinds names {name!r}, "
+            "which no relationship in the model has"
+            for name in ("nope", "bogus")
+        ]
+
     def test_supports_records(self, capsys, lab):
         code, out, _ = run(
             capsys,

@@ -173,3 +173,27 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         riskalign.no_such_name  # noqa: B018
     assert not hasattr(riskalign, "validate_structures")
+
+
+def test_no_command_loads_dataclasses_or_inspect(tmp_path):
+    code = (
+        "import sys\nbare = set(sys.modules)\nfrom riskalign import cli\n"
+        "print(sorted(set(sys.modules) - bare))"
+    )
+    heavy = {"dataclasses", "inspect"}
+    assert not set(ast.literal_eval(run_child(code))) & heavy
+    loaded = loaded_after_each(
+        tmp_path,
+        ["import", "--model", XML],
+        ["classify", *LAB],
+        ["review", *LAB],
+        ["validate", *LAB, "--register", REGISTER],
+        ["report", "unmapped", *LAB],
+        ["report", "coverage", *LAB, "--register", REGISTER],
+        ["trace", "r1", *LAB, "--register", REGISTER, "--format", "records"],
+        ["query", "supports", "dev-tablet", *LAB],
+        ["query", "facts", "dev-tablet", *LAB],
+        ["query", "neighbors", "dev-tablet", *LAB],
+    )
+    for modules in loaded:
+        assert not modules & heavy
