@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
+from collections.abc import Iterator
 
 from .eamodel import EAElement, EAModel, EARelationship, normalize_name
 from .errors import ModelFormatError
 
 _XSI_TYPE = "{http://www.w3.org/2001/XMLSchema-instance}type"
+_SLICE = 1 << 16  # characters fed to the parser at a time
+_CONTAINERS = {"elements": "element", "relationships": "relationship"}
 
 # Exchange-format element tokens and the concept names the rules use.
 ELEMENT_TOKENS: dict[str, str] = {
@@ -62,25 +65,6 @@ ELEMENT_TOKENS: dict[str, str] = {
 }
 
 
-def _local(tag: object) -> str:
-    if not isinstance(tag, str):
-        return ""
-    return tag.rsplit("}", 1)[-1]
-
-
-def _type_token(node: ET.Element) -> str:
-    token = node.get(_XSI_TYPE) or node.get("type") or ""
-    # some exports prefix the type with the archimate namespace alias
-    return token.split(":")[-1].strip()
-
-
-def _child_text(node: ET.Element, *names: str) -> str:
-    for child in node:
-        if _local(child.tag) in names:
-            return (child.text or "").strip()
-    return ""
-
-
 _CAMEL = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
 
 
@@ -89,11 +73,11 @@ def _one_line(text: str) -> str:
     return text.replace("\r\n", " ").replace("\r", " ").replace("\n", " ")
 
 
-def _id_attr(node: ET.Element, *names: str) -> str:
-    """The first non-empty id attribute among names; ids cannot span lines."""
-    value = next(filter(None, map(node.get, names)), "")
+def _id_attr(node: ET.Element, name: str, alias: str = "") -> str:
+    """The first non-empty id attribute of the two; ids cannot span lines."""
+    value = node.get(name) or node.get(alias) or ""
     if "\n" in value or "\r" in value:
-        raise ModelFormatError(f"{names[0]} {value!r} contains a line break")
+        raise ModelFormatError(f"{name} {value!r} contains a line break")
     return value
 
 
@@ -103,71 +87,130 @@ def _relationship_kind(token: str) -> str:
     return normalize_name(_CAMEL.sub(" ", token))
 
 
+def _record(
+    node: ET.Element,
+    record_tag: str,
+    local: dict[str, str],
+    kinds: dict[str, str],
+    notes: dict[int, list[str]],
+) -> EAElement | EARelationship:
+    """The record of a closed element or relationship node. An element's
+    warnings go to notes, under the id of its record."""
+    rec_id = _id_attr(node, "identifier", "id")
+    if not rec_id:
+        raise ModelFormatError(f"{record_tag} without an identifier attribute")
+    token = node.get(_XSI_TYPE) or node.get("type") or ""
+    # some exports prefix the type with the archimate namespace alias
+    token = token.rpartition(":")[2].strip()
+    if not token:
+        raise ModelFormatError(f"{record_tag} {rec_id!r} has no type")
+    if record_tag == "relationship":
+        src, dst = _id_attr(node, "source"), _id_attr(node, "target")
+        if not (src and dst):
+            end = "target" if src else "source"
+            raise ModelFormatError(f"relationship {rec_id!r} has no {end}")
+        kind = kinds.get(token) or kinds.setdefault(token, _relationship_kind(token))
+        return EARelationship(rec_id, kind, src, dst)
+    warnings: list[str] = []
+    concept_name = ELEMENT_TOKENS.get(token)
+    if concept_name is None:
+        concept_name = normalize_name(token)
+        warnings.append(f"unknown element type token {token!r} on {rec_id!r}")
+    name: str | None = None
+    attrs: dict[str, str] = {}
+    for child in node:  # every child has closed, so its tag is in local
+        part = local[child.tag]
+        if name is None and part in ("name", "label"):
+            name = _one_line((child.text or "").strip())
+        for prop in child if part == "properties" else ():
+            if local[prop.tag] == "property":
+                key = _one_line(prop.get("key") or prop.get("name") or "")
+                if key and key in attrs:
+                    warnings.append(f"element {rec_id!r} repeats property key "
+                                    f"{key!r}; the last value is kept")
+                attrs[key] = _one_line(prop.get("value") or "")
+    attrs.pop("", None)
+    record = EAElement(rec_id, concept_name, name or "", attrs)
+    if warnings:
+        notes[id(record)] = warnings
+    return record
+
+
+def _end_events(text: str) -> Iterator[tuple[str, ET.Element]]:
+    """Feed text to a pull parser in slices; yield each node as it closes."""
+    parser = ET.XMLPullParser(("end",))
+    for start in range(0, len(text), _SLICE):
+        parser.feed(text[start : start + _SLICE])
+        yield from parser.read_events()
+    parser.close()
+    yield from parser.read_events()
+
+
 def import_archimate(data: str | bytes, source: str = "") -> EAModel:
-    """Parse exchange-format XML into an EAModel tagged archimate21."""
+    """Parse exchange-format XML into an EAModel tagged archimate21.
+
+    One pass builds each element and relationship as its node closes, then
+    clears the node; a container keeps its children's records when it
+    closes, then detaches them. Records follow the pre-order of their
+    containers, as a walk of the whole tree would. Errors wait for the end
+    of the parse and come in this order: malformed XML, a root other than
+    <model>, the first bad element, the first bad relationship.
+    """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(
+                f"not valid UTF-8 at byte offset {exc.start}"
+            ) from None
+    local: dict[str, str] = {}  # tag -> local name
+    kinds: dict[str, str] = {}  # relationship type token -> kind
+    notes: dict[int, list[str]] = {}  # id of an element record -> warnings
+    # record tag -> closed node -> its record, or the error it raises
+    pending: dict[str, dict] = {"element": {}, "relationship": {}}
+    blocks: list[tuple[str, list]] = []  # (record tag, kept records), pre-order
+    # closed node -> index of the first block kept inside it, which is where
+    # the block of a container around it goes
+    starts: dict[ET.Element, int] = {}
     try:
-        root = ET.fromstring(data)
+        for _, node in _end_events(data):
+            tag = node.tag
+            name = local.get(tag) or local.setdefault(tag, tag.rpartition("}")[2])
+            record_tag = _CONTAINERS.get(name)
+            if record_tag is None and name not in pending:
+                continue
+            inside = ()
+            if starts and len(node):
+                inside = [starts.pop(sub) for sub in node.iter() if sub in starts]
+            start = min(inside) if inside else len(blocks)
+            if record_tag:
+                closed = pending[record_tag]
+                kept = [closed.pop(child) for child in node if child in closed]
+                blocks.insert(start, (record_tag, kept))
+                del node[:]
+            else:
+                try:
+                    pending[name][node] = _record(node, name, local, kinds, notes)
+                except ModelFormatError as exc:
+                    pending[name][node] = exc
+                node.clear()
+            if record_tag or inside:
+                starts[node] = start
     except ET.ParseError as exc:
         line, column = exc.position
         raise ModelFormatError(
             f"not well-formed XML at column {column}: {exc.msg.split(':')[0]}", line
         ) from None
-    if _local(root.tag) != "model":
-        raise ModelFormatError(f"expected a <model> document, got <{_local(root.tag)}>")
-
-    warnings: list[str] = []
-    elements: list[EAElement] = []
-    for container in root.iter():
-        if _local(container.tag) != "elements":
-            continue
-        for node in container:
-            if _local(node.tag) != "element":
-                continue
-            elem_id = _id_attr(node, "identifier", "id")
-            if not elem_id:
-                raise ModelFormatError("element without an identifier attribute")
-            token = _type_token(node)
-            if not token:
-                raise ModelFormatError(f"element {elem_id!r} has no type")
-            concept_name = ELEMENT_TOKENS.get(token)
-            if concept_name is None:
-                concept_name = normalize_name(token)
-                warnings.append(
-                    f"unknown element type token {token!r} on {elem_id!r}"
-                )
-            name = _one_line(_child_text(node, "name", "label"))
-            attrs = {
-                _one_line(prop.get("key") or prop.get("name") or ""):
-                    _one_line(prop.get("value") or "")
-                for child in node
-                if _local(child.tag) == "properties"
-                for prop in child
-                if _local(prop.tag) == "property"
-            }
-            attrs.pop("", None)
-            elements.append(EAElement(elem_id, concept_name, name, attrs))
-
-    relationships: list[EARelationship] = []
-    for container in root.iter():
-        if _local(container.tag) != "relationships":
-            continue
-        for node in container:
-            if _local(node.tag) != "relationship":
-                continue
-            rel_id = _id_attr(node, "identifier", "id")
-            if not rel_id:
-                raise ModelFormatError("relationship without an identifier attribute")
-            token = _type_token(node)
-            if not token:
-                raise ModelFormatError(f"relationship {rel_id!r} has no type")
-            src = _id_attr(node, "source")
-            dst = _id_attr(node, "target")
-            relationships.append(
-                EARelationship(rel_id, _relationship_kind(token), src, dst)
-            )
-
+    if name != "model":
+        raise ModelFormatError(f"expected a <model> document, got <{name}>")
+    records: dict[str, list] = {"element": [], "relationship": []}
+    for record_tag, kept in blocks:
+        records[record_tag] += kept
+    elements, relationships = records["element"], records["relationship"]
+    for record in elements + relationships:
+        if isinstance(record, ModelFormatError):
+            raise record
+    warnings = [w for element in elements for w in notes.get(id(element), ())]
     return EAModel(
         "archimate21", elements, relationships, source=source, warnings=warnings
     )

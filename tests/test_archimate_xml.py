@@ -145,6 +145,48 @@ def test_element_without_type_rejected():
         import_archimate('<model><elements><element identifier="a"/></elements></model>')
 
 
+@pytest.mark.parametrize("end", ["source", "target"])
+@pytest.mark.parametrize("missing", ["absent", "empty"])
+def test_relationship_without_an_endpoint_rejected(end, missing):
+    value = {"source": 'source="a"', "target": 'target="b"'}[end]
+    text = MINIMAL.replace(value, "" if missing == "absent" else f'{end}=""')
+    with pytest.raises(ModelFormatError, match=f"^relationship 'r1' has no {end}$"):
+        import_archimate(text)
+
+
+def test_bytes_that_are_not_utf8_rejected_with_the_offset():
+    data = MINIMAL.encode("utf-8").replace(b"Box", b"B\xffx")
+    offset = data.index(b"\xff")
+    with pytest.raises(ModelFormatError) as exc:
+        import_archimate(data)
+    assert str(exc.value) == f"not valid UTF-8 at byte offset {offset}"
+
+
+def test_repeated_property_key_warns_and_keeps_the_last_value():
+    text = MINIMAL.replace(
+        "<name>Box</name>",
+        "<name>Box</name><properties>"
+        '<property key="zone" value="lan"/><property key="owner" value="ops"/>'
+        '<property name="zone" value="dmz"/><property key="zone&#10;" value="x"/>'
+        '<property key="" value="1"/><property key="" value="2"/>'
+        "</properties>",
+    ).replace('xsi:type="BusinessService"', 'xsi:type="Gizmo"')
+    text = text.replace(
+        '<element identifier="b"',
+        '<element identifier="c" xsi:type="Node"><properties>'
+        '<property key="k" value="1"/><property key="k" value="2"/>'
+        '</properties></element>\n    <element identifier="b"',
+    )
+    m = import_archimate(text)
+    assert m.element("a").attributes == {"zone": "dmz", "owner": "ops", "zone ": "x"}
+    assert m.element("c").attributes == {"k": "2"}
+    assert m.warnings == (
+        "element 'a' repeats property key 'zone'; the last value is kept",
+        "element 'c' repeats property key 'k'; the last value is kept",
+        "unknown element type token 'Gizmo' on 'b'",
+    )
+
+
 def test_dangling_relationship_endpoint_rejected():
     text = MINIMAL.replace('target="b"', 'target="ghost"')
     with pytest.raises(Exception):

@@ -869,6 +869,31 @@ class TestXmlLineBreaks:
         assert err.count("\n") == 1
 
 
+class TestXmlRecordChecks:
+    @pytest.mark.parametrize("end", ["source", "target"])
+    def test_missing_endpoint_is_named(self, capsys, fixtures_dir, tmp_path, end):
+        text = (fixtures_dir / "lab_model.xml").read_text()
+        line = next(row for row in text.splitlines() if 'identifier="r-06"' in row)
+        text = text.replace(line, re.sub(rf' {end}="[^"]*"', "", line))
+        code, out, err = run(capsys, "import", "--model", write(tmp_path, "m.xml", text))
+        assert (code, out) == (2, "")
+        assert err == f"error: relationship 'r-06' has no {end}\n"
+
+    def test_repeated_property_key_warns(self, capsys, fixtures_dir, tmp_path):
+        text = (fixtures_dir / "lab_model.xml").read_text().replace(
+            "<name>Tablet</name>",
+            '<name>Tablet</name><properties><property key="os" value="a"/>'
+            '<property key="os" value="b"/></properties>',
+        )
+        code, out, err = run(capsys, "import", "--model", write(tmp_path, "m.xml", text))
+        assert code == 0
+        assert "|dev-tablet|device|Tablet|os=b\n" in out
+        assert err == (
+            "warning: element 'dev-tablet' repeats property key 'os'; "
+            "the last value is kept\n"
+        )
+
+
 class TestUsage:
     def test_no_arguments(self, capsys):
         with pytest.raises(SystemExit) as exc:
