@@ -192,7 +192,7 @@ def trace(
         event_children.append(TraceNode("vulnerability", "", vuln.text, anchors))
 
     children: list[TraceNode] = [
-        TraceNode("event", f"{case.id}::event", f"{case.name} event",
+        TraceNode("event", case.event_id, f"{case.name} event",
                   tuple(event_children))
     ]
     for impact in case.impacts:

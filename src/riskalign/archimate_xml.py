@@ -140,7 +140,12 @@ def _end_events(text: str) -> Iterator[tuple[str, ET.Element]]:
     """Feed text to a pull parser in slices; yield each node as it closes."""
     parser = ET.XMLPullParser(("end",))
     for start in range(0, len(text), _SLICE):
-        parser.feed(text[start : start + _SLICE])
+        try:
+            parser.feed(text[start : start + _SLICE])
+        except UnicodeEncodeError as exc:  # a lone surrogate in a str
+            raise ModelFormatError(
+                f"not encodable as UTF-8 at character offset {start + exc.start}"
+            ) from None
         yield from parser.read_events()
     parser.close()
     yield from parser.read_events()

@@ -26,6 +26,7 @@ contain "::", which names the entities induced_graph derives from a risk.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from functools import cached_property
 from typing import NamedTuple
 
@@ -89,6 +90,11 @@ class RiskCase:
         self.impacts: list[ImpactSpec] = []
         self.treatments: list[TreatmentSpec] = []
 
+    @property
+    def event_id(self) -> str:
+        """Id of the event entity induced_graph derives for this risk."""
+        return f"{self.id}::event"
+
 
 class RiskRegister:
     def __init__(
@@ -116,15 +122,6 @@ class RiskRegister:
         return {case.id: case for case in self.risks}
 
 
-class _Draft:
-    """A treatment or requirement whose REQ or CTRL children are still being read."""
-
-    def __init__(self, id: str, text: str):
-        self.id = id
-        self.text = text
-        self.children: list = []
-
-
 # Fields per catalog record, the tag included.
 _FIELD_COUNTS = {
     "CRIT": 4, "RISK": 3, "THREAT": 5, "VULN": 4,
@@ -142,8 +139,9 @@ def parse_risk_catalog(text: str, classification: ClassificationSet) -> RiskRegi
     model = classification.model
     risks: dict[str, RiskCase] = {}
     criteria: dict[str, CriterionSpec] = {}
-    treatments: dict[str, tuple[str, _Draft]] = {}  # id -> (risk id, draft)
-    requirements: dict[str, _Draft] = {}
+    # Treatments and requirements collect their children in lists until the end.
+    treatments: dict[str, TreatmentSpec] = {}
+    requirements: dict[str, RequirementSpec] = {}
     declared: set[str] = set()
 
     def declare(record_id: str, lineno: int) -> None:
@@ -162,13 +160,12 @@ def parse_risk_catalog(text: str, classification: ClassificationSet) -> RiskRegi
             )
         declared.add(record_id)
 
-    def elements(ids_field: str, lineno: int) -> tuple[str, ...]:
+    def elements(ids_field: str, lineno: int, known: Container[str] = model,
+                 what: str = "element") -> tuple[str, ...]:
         ids = recordio.split_list(ids_field)
-        for elem_id in ids:
-            if elem_id not in model:
-                raise CatalogFormatError(
-                    f"unknown element id {elem_id!r}", lineno
-                )
+        for item_id in ids:
+            if item_id not in known:
+                raise CatalogFormatError(f"unknown {what} id {item_id!r}", lineno)
         return ids
 
     for lineno, fields in recordio.iter_records(text):
@@ -207,42 +204,38 @@ def parse_risk_catalog(text: str, classification: ClassificationSet) -> RiskRegi
         elif tag == "IMPACT":
             _, risk_id, impact_text, harmed, negated = fields
             case = _case(risks, risk_id, lineno)
-            negated_ids = recordio.split_list(negated)
-            for crit_id in negated_ids:
-                if crit_id not in criteria:
-                    raise CatalogFormatError(
-                        f"unknown criterion id {crit_id!r}", lineno
-                    )
+            negated_ids = elements(negated, lineno, criteria, "criterion")
             case.impacts.append(
                 ImpactSpec(impact_text, elements(harmed, lineno), negated_ids)
             )
         elif tag == "TREAT":
             _, risk_id, treat_id, treat_text = fields
-            _case(risks, risk_id, lineno)
+            case = _case(risks, risk_id, lineno)
             declare(treat_id, lineno)
-            treatments[treat_id] = (risk_id, _Draft(treat_id, treat_text))
+            treatments[treat_id] = TreatmentSpec(treat_id, treat_text, [])
+            case.treatments.append(treatments[treat_id])
         elif tag == "REQ":
             _, treat_id, req_id, req_text = fields
             if treat_id not in treatments:
                 raise CatalogFormatError(f"unknown treatment id {treat_id!r}", lineno)
             declare(req_id, lineno)
-            requirements[req_id] = _Draft(req_id, req_text)
-            treatments[treat_id][1].children.append(requirements[req_id])
+            requirements[req_id] = RequirementSpec(req_id, req_text, [])
+            treatments[treat_id].requirements.append(requirements[req_id])
         elif tag == "CTRL":
             _, req_id, ctrl_id, ctrl_text = fields
             if req_id not in requirements:
                 raise CatalogFormatError(f"unknown requirement id {req_id!r}", lineno)
             declare(ctrl_id, lineno)
-            requirements[req_id].children.append(ControlSpec(ctrl_id, ctrl_text))
+            requirements[req_id].controls.append(ControlSpec(ctrl_id, ctrl_text))
 
-    for risk_id, draft in treatments.values():
-        requirement_specs = tuple(
-            RequirementSpec(req.id, req.text, tuple(req.children))
-            for req in draft.children
-        )
-        risks[risk_id].treatments.append(
-            TreatmentSpec(draft.id, draft.text, requirement_specs)
-        )
+    for case in risks.values():
+        case.treatments = [
+            TreatmentSpec(treat.id, treat.text, tuple(
+                RequirementSpec(req.id, req.text, tuple(req.controls))
+                for req in treat.requirements
+            ))
+            for treat in case.treatments
+        ]
     return RiskRegister(
         classification=classification,
         risks=tuple(risks.values()),
@@ -307,41 +300,37 @@ def induced_graph(register: RiskRegister) -> RiskGraph:
         for element_id in crit.constrains:
             bind(element_id)
 
+    def part(part_id: str, concept: ISSRMConcept, name: str, whole: str,
+             kind: RelationKind = RelationKind.PART_OF) -> str:
+        """Add an entity together with its edge to the whole it belongs to."""
+        entities[part_id] = Entity(part_id, concept, name)
+        relations.append(Relation(kind, part_id, whole))
+        return part_id
+
     for case in register.risks:
         entities[case.id] = Entity(case.id, ISSRMConcept.RISK, case.name)
-        event_id = f"{case.id}::event"
-        entities[event_id] = Entity(event_id, ISSRMConcept.EVENT, f"{case.name} event")
-        relations.append(Relation(RelationKind.PART_OF, event_id, case.id))
+        event_id = part(case.event_id, ISSRMConcept.EVENT, f"{case.name} event",
+                        case.id)
 
-        if case.threat is not None:
-            threat_id = f"{case.id}::threat"
-            entities[threat_id] = Entity(threat_id, ISSRMConcept.THREAT)
-            relations.append(Relation(RelationKind.PART_OF, threat_id, event_id))
-            if case.threat.agent:
-                agent_id = f"{case.id}::agent"
-                entities[agent_id] = Entity(
-                    agent_id, ISSRMConcept.THREAT_AGENT, case.threat.agent
-                )
-                relations.append(Relation(RelationKind.PART_OF, agent_id, threat_id))
-            if case.threat.method:
-                method_id = f"{case.id}::method"
-                entities[method_id] = Entity(
-                    method_id, ISSRMConcept.ATTACK_METHOD, case.threat.method
-                )
-                relations.append(Relation(RelationKind.PART_OF, method_id, threat_id))
-                if case.threat.agent:
-                    relations.append(
-                        Relation(RelationKind.USES, f"{case.id}::agent", method_id)
-                    )
-            for element_id in case.threat.targets:
+        threat = case.threat
+        if threat is not None:
+            threat_id = part(f"{case.id}::threat", ISSRMConcept.THREAT, "", event_id)
+            if threat.agent:
+                agent_id = part(f"{case.id}::agent", ISSRMConcept.THREAT_AGENT,
+                                threat.agent, threat_id)
+            if threat.method:
+                method_id = part(f"{case.id}::method", ISSRMConcept.ATTACK_METHOD,
+                                 threat.method, threat_id)
+                if threat.agent:
+                    relations.append(Relation(RelationKind.USES, agent_id, method_id))
+            for element_id in threat.targets:
                 relations.append(
                     Relation(RelationKind.TARGETS, threat_id, bind(element_id))
                 )
 
         for index, vuln in enumerate(case.vulnerabilities, start=1):
-            vuln_id = f"{case.id}::vuln{index}"
-            entities[vuln_id] = Entity(vuln_id, ISSRMConcept.VULNERABILITY, vuln.text)
-            relations.append(Relation(RelationKind.PART_OF, vuln_id, event_id))
+            vuln_id = part(f"{case.id}::vuln{index}", ISSRMConcept.VULNERABILITY,
+                           vuln.text, event_id)
             for element_id in vuln.elements:
                 relations.append(
                     Relation(
@@ -350,9 +339,8 @@ def induced_graph(register: RiskRegister) -> RiskGraph:
                 )
 
         for index, impact in enumerate(case.impacts, start=1):
-            impact_id = f"{case.id}::impact{index}"
-            entities[impact_id] = Entity(impact_id, ISSRMConcept.IMPACT, impact.text)
-            relations.append(Relation(RelationKind.PART_OF, impact_id, case.id))
+            impact_id = part(f"{case.id}::impact{index}", ISSRMConcept.IMPACT,
+                             impact.text, case.id)
             relations.append(Relation(RelationKind.LEADS_TO, event_id, impact_id))
             for element_id in impact.harmed:
                 relations.append(
@@ -362,21 +350,15 @@ def induced_graph(register: RiskRegister) -> RiskGraph:
                 relations.append(Relation(RelationKind.NEGATES, impact_id, crit_id))
 
         for treatment in case.treatments:
-            entities[treatment.id] = Entity(
-                treatment.id, ISSRMConcept.RISK_TREATMENT, treatment.text
-            )
-            relations.append(Relation(RelationKind.DECISION_FOR, treatment.id, case.id))
+            part(treatment.id, ISSRMConcept.RISK_TREATMENT, treatment.text, case.id,
+                 RelationKind.DECISION_FOR)
             for req in treatment.requirements:
-                entities[req.id] = Entity(
-                    req.id, ISSRMConcept.SECURITY_REQUIREMENT, req.text
-                )
-                relations.append(Relation(RelationKind.REFINES, req.id, treatment.id))
+                part(req.id, ISSRMConcept.SECURITY_REQUIREMENT, req.text, treatment.id,
+                     RelationKind.REFINES)
                 relations.append(Relation(RelationKind.MITIGATES, req.id, case.id))
                 for ctrl in req.controls:
-                    entities[ctrl.id] = Entity(ctrl.id, ISSRMConcept.CONTROL, ctrl.text)
-                    relations.append(
-                        Relation(RelationKind.IMPLEMENTS, ctrl.id, req.id)
-                    )
+                    part(ctrl.id, ISSRMConcept.CONTROL, ctrl.text, req.id,
+                         RelationKind.IMPLEMENTS)
 
     return RiskGraph(list(entities.values()), relations)
 
@@ -384,7 +366,8 @@ def induced_graph(register: RiskRegister) -> RiskGraph:
 def validate_register(register: RiskRegister) -> list[Violation]:
     """Structural findings for a register: graph rules plus binding checks."""
     classification = register.classification
-    found = set(validate_structure(induced_graph(register)))
+    graph = induced_graph(register)
+    found = set(validate_structure(graph))
 
     for case in register.risks:
         # The structure gate checks an event's parts only once it has one. An
@@ -392,31 +375,22 @@ def validate_register(register: RiskRegister) -> list[Violation]:
         # neither is bare in the graph, so its two findings are added here.
         # Risks need no such case: their event is always a part.
         if case.threat is None and not case.vulnerabilities:
-            event_id = f"{case.id}::event"
+            for code, missing in (("EVT_NO_THREAT", "threat"),
+                                  ("EVT_NO_VULN", "vulnerability")):
+                message = f"risk {case.id!r} declares no {missing}"
+                found.add(Violation(code, (case.event_id,), message))
+    for kind, impact_id, element_id in graph.relations:
+        if kind is RelationKind.HARMS and not (
+            classification.definite_concepts(element_id) & ASSET_KINDS
+        ):
             found.add(
                 Violation(
-                    "EVT_NO_THREAT", (event_id,),
-                    f"risk {case.id!r} declares no threat",
+                    "IMP_HARM_UNCLASSIFIED",
+                    (impact_id, element_id),
+                    f"harmed element {element_id!r} has no definite "
+                    "asset classification",
                 )
             )
-            found.add(
-                Violation(
-                    "EVT_NO_VULN", (event_id,),
-                    f"risk {case.id!r} declares no vulnerability",
-                )
-            )
-        for index, impact in enumerate(case.impacts, start=1):
-            impact_id = f"{case.id}::impact{index}"
-            for element_id in impact.harmed:
-                if not classification.definite_concepts(element_id) & ASSET_KINDS:
-                    found.add(
-                        Violation(
-                            "IMP_HARM_UNCLASSIFIED",
-                            (impact_id, element_id),
-                            f"harmed element {element_id!r} has no definite "
-                            "asset classification",
-                        )
-                    )
 
     for crit in register.criteria:
         for element_id in crit.constrains:

@@ -6,7 +6,9 @@ for small graphs, and plain recounting for coverage. The scans the library
 replaced with indexes live on here as references: per-lookup fact scans,
 list-scanning review, relation rescans for part_of, and one full
 impact_propagation per traced IS asset. The exchange-XML importer that
-built the whole tree and walked it twice lives on as import_archimate_tree.
+built the whole tree and walked it twice lives on as import_archimate_tree,
+and the register graph and validation that spelled every risk part and
+derived id inline as induced_graph_inline and validate_register_inline.
 """
 
 import heapq
@@ -25,7 +27,7 @@ from riskalign.classify import (
     apply_review,
     classify_model,
 )
-from riskalign.concepts import ISSRMConcept
+from riskalign.concepts import ASSET_KINDS, ISSRMConcept
 from riskalign.eamodel import EAElement, EAModel, EARelationship, normalize_name
 from riskalign.errors import (
     InputError,
@@ -35,8 +37,21 @@ from riskalign.errors import (
     UnknownRiskError,
 )
 from riskalign.mappings import ConceptTarget, target_concepts
-from riskalign.register import induced_graph, parse_risk_catalog, validate_register
-from riskalign.riskgraph import RelationKind, Violation, validate_structure
+from riskalign.register import (
+    _criterion_binding,
+    bound_concept,
+    induced_graph,
+    parse_risk_catalog,
+    validate_register,
+)
+from riskalign.riskgraph import (
+    Entity,
+    Relation,
+    RelationKind,
+    RiskGraph,
+    Violation,
+    validate_structure,
+)
 
 
 def definite_set(classification, concept):
@@ -702,3 +717,150 @@ def import_archimate_tree(data: str | bytes, source: str = "") -> EAModel:
     return EAModel(
         "archimate21", elements, relationships, source=source, warnings=warnings
     )
+
+
+# --- register graph and validation with every part and derived id inline ----------
+
+
+def induced_graph_inline(register) -> RiskGraph:
+    """Build the risk graph a register implies over its model.
+
+    Bound model elements become asset entities; each risk contributes its
+    event, threat, vulnerability, impact and treatment entities with the
+    fixed part_of shape. Criterion constrains edges are deliberately not
+    induced; criterion bindings are checked against the classification
+    directly by validate_register.
+    """
+    classification = register.classification
+    entities: dict[str, Entity] = {}
+    relations: list[Relation] = []
+
+    def bind(element_id: str) -> str:
+        if element_id not in entities:
+            element = register.model.element(element_id)
+            entities[element_id] = Entity(
+                element_id, bound_concept(classification, element_id), element.name
+            )
+        return element_id
+
+    for crit in register.criteria:
+        entities[crit.id] = Entity(crit.id, ISSRMConcept.SECURITY_CRITERION, crit.name)
+        for element_id in crit.constrains:
+            bind(element_id)
+
+    for case in register.risks:
+        entities[case.id] = Entity(case.id, ISSRMConcept.RISK, case.name)
+        event_id = f"{case.id}::event"
+        entities[event_id] = Entity(event_id, ISSRMConcept.EVENT, f"{case.name} event")
+        relations.append(Relation(RelationKind.PART_OF, event_id, case.id))
+
+        if case.threat is not None:
+            threat_id = f"{case.id}::threat"
+            entities[threat_id] = Entity(threat_id, ISSRMConcept.THREAT)
+            relations.append(Relation(RelationKind.PART_OF, threat_id, event_id))
+            if case.threat.agent:
+                agent_id = f"{case.id}::agent"
+                entities[agent_id] = Entity(
+                    agent_id, ISSRMConcept.THREAT_AGENT, case.threat.agent
+                )
+                relations.append(Relation(RelationKind.PART_OF, agent_id, threat_id))
+            if case.threat.method:
+                method_id = f"{case.id}::method"
+                entities[method_id] = Entity(
+                    method_id, ISSRMConcept.ATTACK_METHOD, case.threat.method
+                )
+                relations.append(Relation(RelationKind.PART_OF, method_id, threat_id))
+                if case.threat.agent:
+                    relations.append(
+                        Relation(RelationKind.USES, f"{case.id}::agent", method_id)
+                    )
+            for element_id in case.threat.targets:
+                relations.append(
+                    Relation(RelationKind.TARGETS, threat_id, bind(element_id))
+                )
+
+        for index, vuln in enumerate(case.vulnerabilities, start=1):
+            vuln_id = f"{case.id}::vuln{index}"
+            entities[vuln_id] = Entity(vuln_id, ISSRMConcept.VULNERABILITY, vuln.text)
+            relations.append(Relation(RelationKind.PART_OF, vuln_id, event_id))
+            for element_id in vuln.elements:
+                relations.append(
+                    Relation(
+                        RelationKind.CHARACTERISTIC_OF, vuln_id, bind(element_id)
+                    )
+                )
+
+        for index, impact in enumerate(case.impacts, start=1):
+            impact_id = f"{case.id}::impact{index}"
+            entities[impact_id] = Entity(impact_id, ISSRMConcept.IMPACT, impact.text)
+            relations.append(Relation(RelationKind.PART_OF, impact_id, case.id))
+            relations.append(Relation(RelationKind.LEADS_TO, event_id, impact_id))
+            for element_id in impact.harmed:
+                relations.append(
+                    Relation(RelationKind.HARMS, impact_id, bind(element_id))
+                )
+            for crit_id in impact.negated:
+                relations.append(Relation(RelationKind.NEGATES, impact_id, crit_id))
+
+        for treatment in case.treatments:
+            entities[treatment.id] = Entity(
+                treatment.id, ISSRMConcept.RISK_TREATMENT, treatment.text
+            )
+            relations.append(Relation(RelationKind.DECISION_FOR, treatment.id, case.id))
+            for req in treatment.requirements:
+                entities[req.id] = Entity(
+                    req.id, ISSRMConcept.SECURITY_REQUIREMENT, req.text
+                )
+                relations.append(Relation(RelationKind.REFINES, req.id, treatment.id))
+                relations.append(Relation(RelationKind.MITIGATES, req.id, case.id))
+                for ctrl in req.controls:
+                    entities[ctrl.id] = Entity(ctrl.id, ISSRMConcept.CONTROL, ctrl.text)
+                    relations.append(
+                        Relation(RelationKind.IMPLEMENTS, ctrl.id, req.id)
+                    )
+
+    return RiskGraph(list(entities.values()), relations)
+
+
+def validate_register_inline(register) -> list[Violation]:
+    """Structural findings for a register: graph rules plus binding checks."""
+    classification = register.classification
+    found = set(validate_structure(induced_graph_inline(register)))
+
+    for case in register.risks:
+        # The structure gate checks an event's parts only once it has one. An
+        # event with a threat or a vulnerability is checked there; one with
+        # neither is bare in the graph, so its two findings are added here.
+        # Risks need no such case: their event is always a part.
+        if case.threat is None and not case.vulnerabilities:
+            event_id = f"{case.id}::event"
+            found.add(
+                Violation(
+                    "EVT_NO_THREAT", (event_id,),
+                    f"risk {case.id!r} declares no threat",
+                )
+            )
+            found.add(
+                Violation(
+                    "EVT_NO_VULN", (event_id,),
+                    f"risk {case.id!r} declares no vulnerability",
+                )
+            )
+        for index, impact in enumerate(case.impacts, start=1):
+            impact_id = f"{case.id}::impact{index}"
+            for element_id in impact.harmed:
+                if not classification.definite_concepts(element_id) & ASSET_KINDS:
+                    found.add(
+                        Violation(
+                            "IMP_HARM_UNCLASSIFIED",
+                            (impact_id, element_id),
+                            f"harmed element {element_id!r} has no definite "
+                            "asset classification",
+                        )
+                    )
+
+    for crit in register.criteria:
+        for element_id in crit.constrains:
+            found.update(_criterion_binding(classification, crit.id, element_id))
+
+    return sorted(found, key=Violation.sort_key)

@@ -162,6 +162,22 @@ def test_bytes_that_are_not_utf8_rejected_with_the_offset():
     assert str(exc.value) == f"not valid UTF-8 at byte offset {offset}"
 
 
+@pytest.mark.parametrize(
+    "prefix", ["", " " * (1 << 16)], ids=["first_slice", "later_slice"]
+)
+def test_lone_surrogate_in_a_str_rejected_with_the_offset(prefix):
+    # a str is encoded to UTF-8 for the parser, slice by slice; the offset
+    # counts characters from the start of the whole text
+    text = f"<model>{prefix}<name>x\udcff</name></model>"
+    with pytest.raises(ModelFormatError) as exc:
+        import_archimate(text)
+    offset = text.index("\udcff")
+    assert str(exc.value) == (
+        f"not encodable as UTF-8 at character offset {offset}"
+    )
+    assert exc.value.line is None
+
+
 def test_repeated_property_key_warns_and_keeps_the_last_value():
     text = MINIMAL.replace(
         "<name>Box</name>",

@@ -983,3 +983,21 @@ class TestInstalledEntryPoint:
         )
         assert bad_usage.returncode == 2
         assert "usage:" in bad_usage.stderr
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError
+
+    def flush(self):
+        pass
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_zero_without_stderr(self, capsys, monkeypatch, lab):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        code = main(["import", "--model", lab["model"]])
+        assert code == 0
+        assert capsys.readouterr().err == ""

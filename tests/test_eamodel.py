@@ -154,6 +154,13 @@ def test_parse_tabular_errors_carry_line_numbers(text, line):
     assert exc.value.line == line
 
 
+def test_relationship_with_empty_id_rejected_at_its_line():
+    with pytest.raises(LineError) as exc:
+        parse_tabular("FRAMEWORK|iaf\nE|a|actor||\nR||flow|a|a\n")
+    assert exc.value.line == 3
+    assert str(exc.value) == "line 3: relationship with empty id"
+
+
 def test_parse_tabular_empty_text():
     with pytest.raises(ModelFormatError):
         parse_tabular("# nothing here\n")
