@@ -25,6 +25,7 @@ from .errors import (
 from .mappings import (
     AlignmentRule,
     AnnotationTarget,
+    AttributeEquals,
     AttributeTarget,
     ConceptTarget,
     MappingKind,
@@ -86,27 +87,10 @@ class ClassificationFact(NamedTuple):
 
 def classify_element(ruleset: Ruleset, element: EAElement) -> list[ClassificationFact]:
     """Facts for one element, in table order. Empty for unmapped or unknown."""
-    return [_fact(element.id, rule) for rule in _target_rules(ruleset, element)]
-
-
-def _target_rules(ruleset: Ruleset, element: EAElement) -> list[AlignmentRule]:
-    """The element's applicable rules that name a target, in table order."""
-    return [
-        rule
-        for rule in resolve_rules(ruleset, element.concept_name, element.attributes)
-        if not isinstance(rule.target, NoTarget)
-    ]
-
-
-def _fact(element_id: str, rule: AlignmentRule) -> ClassificationFact:
-    return ClassificationFact(
-        element_id=element_id,
-        target=rule.target,
-        mapping_type=rule.mapping_type,
-        tier=tier_of(rule.mapping_type, rule.target),
-        framework=rule.framework,
-        row=rule.row,
-    )
+    plan = _concept_plan(ruleset, element.concept_name)
+    if plan is None:
+        return []
+    return [ClassificationFact(element.id, *step.fact) for step in _steps(plan, element)]
 
 
 class ClassificationSet:
@@ -118,7 +102,8 @@ class ClassificationSet:
 
     The per-element lookups read an index built from the facts the first
     time one is asked for, once per instance; a set built from another's
-    fields gets a fresh index.
+    fields gets a fresh index, except that apply_review hands its reviewed
+    set the per-element groups it already holds.
     """
 
     def __init__(
@@ -177,7 +162,12 @@ class ClassificationSet:
 
 
 def classify_model(ruleset: Ruleset, model: EAModel) -> ClassificationSet:
-    """Classify every element of a model against a matching-framework ruleset."""
+    """Classify every element of a model against a matching-framework ruleset.
+
+    The rules, tiers and warning texts are resolved once per distinct
+    concept name; only a concept with a conditional rule evaluates the
+    conditions against each element's attributes.
+    """
     if ruleset.framework != model.framework:
         raise FrameworkMismatchError(
             f"model is {model.framework!r} but ruleset is {ruleset.framework!r}"
@@ -186,27 +176,26 @@ def classify_model(ruleset: Ruleset, model: EAModel) -> ClassificationSet:
     unmapped: list[str] = []
     unknown: list[str] = []
     warnings: list[str] = []
-    for elem_id in sorted(model.elements):
-        element = model.element(elem_id)
-        if not ruleset.rules_for(element.concept_name):
+    plans: dict[str, _ConceptPlan | None] = {}
+    index = model._elements  # the model's own index; model.elements copies it
+    for elem_id in sorted(index):
+        element = index[elem_id]
+        try:
+            plan = plans[element.concept_name]
+        except KeyError:
+            plan = plans[element.concept_name] = _concept_plan(
+                ruleset, element.concept_name
+            )
+        if plan is None:
             unknown.append(elem_id)
             continue
-        rules = _target_rules(ruleset, element)
-        if not rules:
+        steps = _steps(plan, element)
+        if not steps:
             unmapped.append(elem_id)
-        for rule in rules:
-            facts.append(_fact(elem_id, rule))
-            if rule.mapping_type.kind is MappingKind.UNSPECIFIED:
-                warnings.append(
-                    f"{elem_id}: {rule.framework} row {rule.row} ({rule.source}) "
-                    "has a blank mapping type; classified at related tier"
-                )
-            elif rule.mapping_type.kind is MappingKind.NON_STANDARD:
-                warnings.append(
-                    f"{elem_id}: {rule.framework} row {rule.row} ({rule.source}) "
-                    f"uses non-standard mapping type {rule.mapping_type.text!r}; "
-                    "classified at candidate tier"
-                )
+        for step in steps:
+            facts.append(ClassificationFact(elem_id, *step.fact))
+            if step.warning:
+                warnings.append(f"{elem_id}: {step.warning}")
     return ClassificationSet(
         model=model,
         ruleset=ruleset,
@@ -215,6 +204,65 @@ def classify_model(ruleset: Ruleset, model: EAModel) -> ClassificationSet:
         unknown=tuple(unknown),
         warnings=tuple(warnings),
     )
+
+
+class _Step(NamedTuple):
+    """One target-naming rule of a concept, resolved for classification."""
+
+    condition: AttributeEquals | None
+    fact: tuple[TargetSpec, MappingType, Tier, str, int]  # fact fields after the id
+    warning: str  # the warning text after "<element id>: ", or ""
+
+
+class _ConceptPlan(NamedTuple):
+    steps: tuple[_Step, ...]
+    conditional: bool  # some step has a condition to evaluate per element
+
+
+def _concept_plan(ruleset: Ruleset, concept_name: str) -> _ConceptPlan | None:
+    """The target-naming rules of one concept, in table order; None when no
+    rule mentions the concept."""
+    rules = ruleset.rules_for(concept_name)
+    if not rules:
+        return None
+    steps = tuple(
+        _Step(
+            rule.condition,
+            (rule.target, rule.mapping_type, tier_of(rule.mapping_type, rule.target),
+             rule.framework, rule.row),
+            _rule_warning(rule),
+        )
+        for rule in rules
+        if not isinstance(rule.target, NoTarget)
+    )
+    return _ConceptPlan(steps, any(step.condition is not None for step in steps))
+
+
+def _steps(plan: _ConceptPlan, element: EAElement) -> tuple[_Step, ...]:
+    """The plan's steps whose condition holds for the element."""
+    if not plan.conditional:
+        return plan.steps
+    attributes = element.attributes or {}
+    return tuple(
+        step
+        for step in plan.steps
+        if step.condition is None or step.condition.evaluate(attributes)
+    )
+
+
+def _rule_warning(rule: AlignmentRule) -> str:
+    if rule.mapping_type.kind is MappingKind.UNSPECIFIED:
+        return (
+            f"{rule.framework} row {rule.row} ({rule.source}) "
+            "has a blank mapping type; classified at related tier"
+        )
+    if rule.mapping_type.kind is MappingKind.NON_STANDARD:
+        return (
+            f"{rule.framework} row {rule.row} ({rule.source}) "
+            f"uses non-standard mapping type {rule.mapping_type.text!r}; "
+            "classified at candidate tier"
+        )
+    return ""
 
 
 # --- review overlays -----------------------------------------------------------
@@ -266,16 +314,16 @@ def apply_review(
     the subtype. Reject removes candidate facts. Anything else is a
     ReviewError.
     """
-    groups = {
-        element_id: list(group)
-        for element_id, group in classification._facts_by_element.items()
-    }
+    groups = dict(classification._facts_by_element)
+    edited: dict[str, list[ClassificationFact]] = {}  # the groups a verdict names
     for entry in overlay.entries:
         if entry.element_id not in classification.model:
             raise UnknownElementError(
                 f"review names unknown element id {entry.element_id!r}"
             )
-        group = groups.get(entry.element_id, [])
+        group = edited.get(entry.element_id)
+        if group is None:
+            group = edited[entry.element_id] = list(groups.get(entry.element_id, ()))
         exact_target = ConceptTarget(entry.concept)
         exact = [i for i, f in enumerate(group) if f.target == exact_target]
         if entry.verdict == "confirm":
@@ -303,7 +351,12 @@ def apply_review(
                 )
             for i in sorted(rejectable, reverse=True):
                 del group[i]
-    return ClassificationSet(
+    for element_id, group in edited.items():
+        if group:
+            groups[element_id] = tuple(group)
+        else:
+            groups.pop(element_id, None)
+    reviewed = ClassificationSet(
         model=classification.model,
         ruleset=classification.ruleset,
         facts=tuple(fact for group in groups.values() for fact in group),
@@ -311,6 +364,9 @@ def apply_review(
         unknown=classification.unknown,
         warnings=classification.warnings,
     )
+    # The groups are the reviewed facts by element already; seed the index.
+    reviewed._facts_by_element = groups
+    return reviewed
 
 
 def _refine(group: list[ClassificationFact], entry: ReviewEntry) -> bool:

@@ -76,6 +76,8 @@ class EAModel:
 
     Ids are unique per element set and per relationship set, and every
     relationship endpoint must exist; breaches raise at construction.
+    parse_tabular checks these with line numbers as it reads, so it builds
+    its model through _checked, which does not check them again.
     Equality ignores the source description and importer warnings.
     """
 
@@ -106,6 +108,25 @@ class EAModel:
                         f"relationship {rel.id!r} references unknown endpoint {endpoint!r}"
                     )
         self.relationships = tuple(relationships)
+
+    @classmethod
+    def _checked(
+        cls,
+        framework: str,
+        elements: dict[str, EAElement],
+        relationships: tuple[EARelationship, ...],
+        source: str,
+    ) -> EAModel:
+        """A model from parts its parser has already checked: a supported
+        framework, an element index with unique ids, unique relationship ids
+        and endpoints that exist."""
+        model = cls.__new__(cls)
+        model.framework = framework
+        model.source = source
+        model.warnings = ()
+        model._elements = elements
+        model.relationships = relationships
+        return model
 
     @property
     def elements(self) -> dict[str, EAElement]:
@@ -174,12 +195,16 @@ def render_neighbors_records(pairs: list[tuple[EARelationship, EAElement]]) -> s
 
 
 def parse_tabular(text: str, source: str = "") -> EAModel:
-    """Parse the tabular model format. Errors carry 1-based line numbers."""
+    """Parse the tabular model format. Errors carry 1-based line numbers.
+
+    Each distinct concept and relationship token is normalized once, and
+    ids and endpoints are checked here, once, as the element index is built.
+    """
     framework: str | None = None
-    elements: list[EAElement] = []
-    element_ids: set[str] = set()
+    elements: dict[str, EAElement] = {}
     relationships: list[EARelationship] = []
     rel_ids: set[str] = set()
+    normalized: dict[str, str] = {}
 
     for lineno, fields in recordio.iter_records(text):
         tag = fields[0]
@@ -201,14 +226,14 @@ def parse_tabular(text: str, source: str = "") -> EAModel:
             _, elem_id, concept_name, name, attr_field = fields
             if not elem_id:
                 raise ModelFormatError("element with empty id", lineno)
-            if elem_id in element_ids:
+            if elem_id in elements:
                 raise ModelFormatError(f"duplicate element id {elem_id!r}", lineno)
-            element_ids.add(elem_id)
+            concept = normalized.get(concept_name)
+            if concept is None:
+                concept = normalized[concept_name] = normalize_name(concept_name)
             # field unescaping strips one level, leaving attr escapes intact
             attrs = recordio.parse_attrs(attr_field, lineno)
-            elements.append(
-                EAElement(elem_id, normalize_name(concept_name), name, attrs)
-            )
+            elements[elem_id] = EAElement(elem_id, concept, name, attrs)
         elif tag == "R":
             if len(fields) != 5:
                 raise ModelFormatError(
@@ -221,19 +246,22 @@ def parse_tabular(text: str, source: str = "") -> EAModel:
                 raise ModelFormatError(f"duplicate relationship id {rel_id!r}", lineno)
             rel_ids.add(rel_id)
             for endpoint in (src, dst):
-                if endpoint not in element_ids:
+                if endpoint not in elements:
                     raise ModelFormatError(
                         f"unknown endpoint {endpoint!r}", lineno
                     )
-            relationships.append(
-                EARelationship(rel_id, normalize_name(kind), src, dst)
-            )
+            norm_kind = normalized.get(kind)
+            if norm_kind is None:
+                norm_kind = normalized[kind] = normalize_name(kind)
+            relationships.append(EARelationship(rel_id, norm_kind, src, dst))
+        elif tag == "FRAMEWORK":
+            raise ModelFormatError("duplicate FRAMEWORK record", lineno)
         else:
             raise ModelFormatError(f"unknown record tag {tag!r}", lineno)
 
     if framework is None:
         raise ModelFormatError("empty model text; FRAMEWORK record missing")
-    return EAModel(framework, elements, relationships, source=source)
+    return EAModel._checked(framework, elements, tuple(relationships), source)
 
 
 def export_tabular(model: EAModel) -> str:

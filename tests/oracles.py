@@ -7,8 +7,11 @@ replaced with indexes live on here as references: per-lookup fact scans,
 list-scanning review, relation rescans for part_of, and one full
 impact_propagation per traced IS asset. The exchange-XML importer that
 built the whole tree and walked it twice lives on as import_archimate_tree,
-and the register graph and validation that spelled every risk part and
-derived id inline as induced_graph_inline and validate_register_inline.
+the register graph and validation that spelled every risk part and
+derived id inline as induced_graph_inline and validate_register_inline, the
+classifier that resolved every element's rules afresh as
+classify_model_per_element, and the tabular parser whose model constructor
+checked every id and endpoint again as parse_tabular_checked_twice.
 """
 
 import heapq
@@ -19,24 +22,43 @@ from collections import defaultdict
 
 from riskalign.analysis import TraceNode, impact_propagation, trace
 from riskalign.archimate_xml import _XSI_TYPE, ELEMENT_TOKENS
+from riskalign import recordio
 from riskalign.classify import (
+    ClassificationFact,
     ClassificationSet,
     ReviewEntry,
     ReviewOverlay,
     Tier,
     apply_review,
     classify_model,
+    tier_of,
 )
 from riskalign.concepts import ASSET_KINDS, ISSRMConcept
-from riskalign.eamodel import EAElement, EAModel, EARelationship, normalize_name
+from riskalign.eamodel import (
+    EAElement,
+    EAModel,
+    EARelationship,
+    check_framework,
+    normalize_name,
+)
 from riskalign.errors import (
+    FrameworkMismatchError,
     InputError,
     ModelFormatError,
     ReviewError,
     UnknownElementError,
+    UnknownFrameworkError,
     UnknownRiskError,
 )
-from riskalign.mappings import ConceptTarget, target_concepts
+from riskalign.mappings import (
+    AlignmentRule,
+    ConceptTarget,
+    MappingKind,
+    NoTarget,
+    Ruleset,
+    resolve_rules,
+    target_concepts,
+)
 from riskalign.register import (
     _criterion_binding,
     bound_concept,
@@ -864,3 +886,132 @@ def validate_register_inline(register) -> list[Violation]:
             found.update(_criterion_binding(classification, crit.id, element_id))
 
     return sorted(found, key=Violation.sort_key)
+
+
+# The classifier that resolved the rules of every element afresh and the
+# tabular parser whose model constructor checked the ids and endpoints a
+# second time, copied verbatim apart from their names.
+
+
+def _target_rules_per_element(ruleset: Ruleset, element: EAElement) -> list[AlignmentRule]:
+    """The element's applicable rules that name a target, in table order."""
+    return [
+        rule
+        for rule in resolve_rules(ruleset, element.concept_name, element.attributes)
+        if not isinstance(rule.target, NoTarget)
+    ]
+
+
+def _fact_per_element(element_id: str, rule: AlignmentRule) -> ClassificationFact:
+    return ClassificationFact(
+        element_id=element_id,
+        target=rule.target,
+        mapping_type=rule.mapping_type,
+        tier=tier_of(rule.mapping_type, rule.target),
+        framework=rule.framework,
+        row=rule.row,
+    )
+
+
+def classify_model_per_element(ruleset: Ruleset, model: EAModel) -> ClassificationSet:
+    """Classify every element of a model against a matching-framework ruleset."""
+    if ruleset.framework != model.framework:
+        raise FrameworkMismatchError(
+            f"model is {model.framework!r} but ruleset is {ruleset.framework!r}"
+        )
+    facts: list[ClassificationFact] = []
+    unmapped: list[str] = []
+    unknown: list[str] = []
+    warnings: list[str] = []
+    for elem_id in sorted(model.elements):
+        element = model.element(elem_id)
+        if not ruleset.rules_for(element.concept_name):
+            unknown.append(elem_id)
+            continue
+        rules = _target_rules_per_element(ruleset, element)
+        if not rules:
+            unmapped.append(elem_id)
+        for rule in rules:
+            facts.append(_fact_per_element(elem_id, rule))
+            if rule.mapping_type.kind is MappingKind.UNSPECIFIED:
+                warnings.append(
+                    f"{elem_id}: {rule.framework} row {rule.row} ({rule.source}) "
+                    "has a blank mapping type; classified at related tier"
+                )
+            elif rule.mapping_type.kind is MappingKind.NON_STANDARD:
+                warnings.append(
+                    f"{elem_id}: {rule.framework} row {rule.row} ({rule.source}) "
+                    f"uses non-standard mapping type {rule.mapping_type.text!r}; "
+                    "classified at candidate tier"
+                )
+    return ClassificationSet(
+        model=model,
+        ruleset=ruleset,
+        facts=tuple(facts),
+        unmapped=tuple(unmapped),
+        unknown=tuple(unknown),
+        warnings=tuple(warnings),
+    )
+
+
+def parse_tabular_checked_twice(text: str, source: str = "") -> EAModel:
+    """Parse the tabular model format. Errors carry 1-based line numbers."""
+    framework: str | None = None
+    elements: list[EAElement] = []
+    element_ids: set[str] = set()
+    relationships: list[EARelationship] = []
+    rel_ids: set[str] = set()
+
+    for lineno, fields in recordio.iter_records(text):
+        tag = fields[0]
+        if framework is None:
+            if tag != "FRAMEWORK" or len(fields) != 2:
+                raise ModelFormatError(
+                    "expected FRAMEWORK|<id> as the first record", lineno
+                )
+            try:
+                framework = check_framework(fields[1])
+            except UnknownFrameworkError as exc:
+                raise ModelFormatError(str(exc), lineno) from None
+            continue
+        if tag == "E":
+            if len(fields) != 5:
+                raise ModelFormatError(
+                    f"E record needs 5 fields, got {len(fields)}", lineno
+                )
+            _, elem_id, concept_name, name, attr_field = fields
+            if not elem_id:
+                raise ModelFormatError("element with empty id", lineno)
+            if elem_id in element_ids:
+                raise ModelFormatError(f"duplicate element id {elem_id!r}", lineno)
+            element_ids.add(elem_id)
+            # field unescaping strips one level, leaving attr escapes intact
+            attrs = recordio.parse_attrs(attr_field, lineno)
+            elements.append(
+                EAElement(elem_id, normalize_name(concept_name), name, attrs)
+            )
+        elif tag == "R":
+            if len(fields) != 5:
+                raise ModelFormatError(
+                    f"R record needs 5 fields, got {len(fields)}", lineno
+                )
+            _, rel_id, kind, src, dst = fields
+            if not rel_id:
+                raise ModelFormatError("relationship with empty id", lineno)
+            if rel_id in rel_ids:
+                raise ModelFormatError(f"duplicate relationship id {rel_id!r}", lineno)
+            rel_ids.add(rel_id)
+            for endpoint in (src, dst):
+                if endpoint not in element_ids:
+                    raise ModelFormatError(
+                        f"unknown endpoint {endpoint!r}", lineno
+                    )
+            relationships.append(
+                EARelationship(rel_id, normalize_name(kind), src, dst)
+            )
+        else:
+            raise ModelFormatError(f"unknown record tag {tag!r}", lineno)
+
+    if framework is None:
+        raise ModelFormatError("empty model text; FRAMEWORK record missing")
+    return EAModel(framework, elements, relationships, source=source)
