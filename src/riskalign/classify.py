@@ -100,10 +100,9 @@ class ClassificationSet:
     sorted element ids. Every model element lands in exactly one of: has a
     fact, unmapped, unknown.
 
-    The per-element lookups read an index built from the facts the first
-    time one is asked for, once per instance; a set built from another's
-    fields gets a fresh index, except that apply_review hands its reviewed
-    set the per-element groups it already holds.
+    Every lookup reads one of two indexes, each built from the facts in one
+    pass the first time it is asked for: the facts by element, and the
+    elements that definitely hold each concept.
     """
 
     def __init__(
@@ -127,7 +126,11 @@ class ClassificationSet:
 
     def definite_concepts(self, element_id: str) -> frozenset[ISSRMConcept]:
         """Concepts this element definitely holds, composites included."""
-        return self._definite_by_element.get(element_id, frozenset())
+        return frozenset(
+            concept
+            for concept, holders in self._definite_holders.items()
+            if element_id in holders
+        )
 
     def definite_elements(self, concept: ISSRMConcept) -> frozenset[str]:
         """Ids of the elements that definitely hold a concept."""
@@ -141,23 +144,12 @@ class ClassificationSet:
         return {element_id: tuple(group) for element_id, group in groups.items()}
 
     @cached_property
-    def _definite_by_element(self) -> dict[str, frozenset[ISSRMConcept]]:
-        return {
-            element_id: frozenset(
-                concept
-                for fact in group
-                if fact.tier is Tier.DEFINITE
-                for concept in target_concepts(fact.target)
-            )
-            for element_id, group in self._facts_by_element.items()
-        }
-
-    @cached_property
     def _definite_holders(self) -> dict[ISSRMConcept, frozenset[str]]:
         holders: dict[ISSRMConcept, set[str]] = {}
-        for element_id, concepts in self._definite_by_element.items():
-            for concept in concepts:
-                holders.setdefault(concept, set()).add(element_id)
+        for fact in self.facts:
+            if fact.tier is Tier.DEFINITE:
+                for concept in target_concepts(fact.target):
+                    holders.setdefault(concept, set()).add(fact.element_id)
         return {concept: frozenset(ids) for concept, ids in holders.items()}
 
 
@@ -177,7 +169,7 @@ def classify_model(ruleset: Ruleset, model: EAModel) -> ClassificationSet:
     unknown: list[str] = []
     warnings: list[str] = []
     plans: dict[str, _ConceptPlan | None] = {}
-    index = model._elements  # the model's own index; model.elements copies it
+    index = model.elements
     for elem_id in sorted(index):
         element = index[elem_id]
         try:
@@ -314,7 +306,6 @@ def apply_review(
     the subtype. Reject removes candidate facts. Anything else is a
     ReviewError.
     """
-    groups = dict(classification._facts_by_element)
     edited: dict[str, list[ClassificationFact]] = {}  # the groups a verdict names
     for entry in overlay.entries:
         if entry.element_id not in classification.model:
@@ -323,7 +314,9 @@ def apply_review(
             )
         group = edited.get(entry.element_id)
         if group is None:
-            group = edited[entry.element_id] = list(groups.get(entry.element_id, ()))
+            group = edited[entry.element_id] = list(
+                classification.facts_for(entry.element_id)
+            )
         exact_target = ConceptTarget(entry.concept)
         exact = [i for i, f in enumerate(group) if f.target == exact_target]
         if entry.verdict == "confirm":
@@ -351,22 +344,18 @@ def apply_review(
                 )
             for i in sorted(rejectable, reverse=True):
                 del group[i]
-    for element_id, group in edited.items():
-        if group:
-            groups[element_id] = tuple(group)
-        else:
-            groups.pop(element_id, None)
-    reviewed = ClassificationSet(
+    return ClassificationSet(
         model=classification.model,
         ruleset=classification.ruleset,
-        facts=tuple(fact for group in groups.values() for fact in group),
+        facts=tuple(
+            fact
+            for element_id, group in classification._facts_by_element.items()
+            for fact in edited.get(element_id, group)
+        ),
         unmapped=classification.unmapped,
         unknown=classification.unknown,
         warnings=classification.warnings,
     )
-    # The groups are the reviewed facts by element already; seed the index.
-    reviewed._facts_by_element = groups
-    return reviewed
 
 
 def _refine(group: list[ClassificationFact], entry: ReviewEntry) -> bool:

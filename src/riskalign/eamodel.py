@@ -16,6 +16,7 @@ export of a model yields an equal model.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import (
@@ -129,8 +130,9 @@ class EAModel:
         return model
 
     @property
-    def elements(self) -> dict[str, EAElement]:
-        return dict(self._elements)
+    def elements(self) -> MappingProxyType[str, EAElement]:
+        """A read-only view of the element index, in insertion order."""
+        return MappingProxyType(self._elements)
 
     def element(self, element_id: str) -> EAElement:
         try:

@@ -20,8 +20,9 @@ CTRL records, and a criterion any IMPACT that negates it.
     REQ|<treatment>|<id>|<text>
     CTRL|<requirement>|<id>|<text>
 
-Id lists are comma separated and may be empty. Declared ids may not
-contain "::", which names the entities induced_graph derives from a risk.
+Id lists are comma separated and may be empty. Neither declared ids nor
+the element ids a record binds may contain "::", which names the entities
+induced_graph derives from a risk.
 """
 
 from __future__ import annotations
@@ -166,6 +167,9 @@ def parse_risk_catalog(text: str, classification: ClassificationSet) -> RiskRegi
         for item_id in ids:
             if item_id not in known:
                 raise CatalogFormatError(f"unknown {what} id {item_id!r}", lineno)
+            if "::" in item_id:
+                raise CatalogFormatError(f"{what} id {item_id!r} contains '::', "
+                                         "which is reserved for derived ids", lineno)
         return ids
 
     for lineno, fields in recordio.iter_records(text):
@@ -267,9 +271,8 @@ def bound_concept(classification: ClassificationSet, element_id: str) -> ISSRMCo
     asset); an element with no definite asset fact enters as plain Asset and
     the validators flag the binding.
     """
-    definite = classification.definite_concepts(element_id)
     for concept in _BINDING_PRIORITY:
-        if concept in definite:
+        if element_id in classification.definite_elements(concept):
             return concept
     return ISSRMConcept.ASSET
 
@@ -380,8 +383,9 @@ def validate_register(register: RiskRegister) -> list[Violation]:
                 message = f"risk {case.id!r} declares no {missing}"
                 found.add(Violation(code, (case.event_id,), message))
     for kind, impact_id, element_id in graph.relations:
-        if kind is RelationKind.HARMS and not (
-            classification.definite_concepts(element_id) & ASSET_KINDS
+        if kind is RelationKind.HARMS and not any(
+            element_id in classification.definite_elements(concept)
+            for concept in ASSET_KINDS
         ):
             found.add(
                 Violation(
@@ -403,13 +407,11 @@ def _criterion_binding(
     classification: ClassificationSet, crit_id: str, element_id: str
 ) -> list[Violation]:
     """A criterion may only constrain confirmed business assets."""
-    facts = classification.facts_for(element_id)
-    definite = classification.definite_concepts(element_id)
-    if ISSRMConcept.BUSINESS_ASSET in definite:
+    if element_id in classification.definite_elements(ISSRMConcept.BUSINESS_ASSET):
         return []
     asset_tiers = {
         concept
-        for fact in facts
+        for fact in classification.facts_for(element_id)
         if fact.tier in (Tier.DEFINITE, Tier.CANDIDATE)
         for concept in target_concepts(fact.target)
         if concept in ASSET_KINDS

@@ -449,8 +449,31 @@ _CONCEPT_POOLS = {
         + ["principle", "driver", "assessment", "requirement"]
         + ["stakeholder", "business event", "wormhole"]
     ),
+    # capability is the composite ISAsset+BusinessAsset, measure an
+    # @attributes annotation, resource a refinable definite Asset.
+    "dodaf202": (
+        ["capability"] * 3
+        + ["resource"] * 2
+        + ["data", "system", "activity", "measure", "desired effect"]
+        + ["condition", "architecture description", "wormhole"]
+    ),
+    # business object is conditional on carries_information; an entry may be
+    # a (concept, attributes) pair.
+    "iaf": (
+        ["business object"]
+        + [("business object", {"carries_information": "true"})] * 2
+        + [("business object", {"carries_information": "false"})]
+        + ["object contracts", "physical business component", "control"]
+        + ["business standards, rules and guidelines", "business event"]
+        + ["information system standards, rules and guidelines", "wormhole"]
+    ),
 }
 _KINDS = ("flow", "association", "realization")
+
+
+def _pool_element(elem_id: str, entry, name: str) -> EAElement:
+    concept, attributes = (entry, None) if isinstance(entry, str) else entry
+    return EAElement(elem_id, concept, name, dict(attributes or {}))
 
 
 def random_model(
@@ -461,9 +484,9 @@ def random_model(
 ) -> EAModel:
     pool = _CONCEPT_POOLS[framework]
     count = rng.randint(min_elements, max_elements)
-    elements = [EAElement("e0", pool[0], "seed element")]
+    elements = [_pool_element("e0", pool[0], "seed element")]
     for i in range(1, count):
-        elements.append(EAElement(f"e{i}", rng.choice(pool), f"element {i}"))
+        elements.append(_pool_element(f"e{i}", rng.choice(pool), f"element {i}"))
     ids = [e.id for e in elements]
     relationships = []
     for i in range(rng.randint(0, 2 * count)):

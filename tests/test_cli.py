@@ -340,6 +340,39 @@ class TestValidate:
             " derived ids\n"
         )
 
+    def test_bound_element_id_with_derived_name_is_an_input_error(
+        self, capsys, lab, tmp_path
+    ):
+        # Bound as is, the element r2::threat would be replaced in the risk
+        # graph by r2's derived threat entity.
+        with open(lab["tab"], encoding="utf-8") as handle:
+            tab = handle.read()
+        model = write(
+            tmp_path, "model.tab", tab + "E|r2::threat|device|Spare tablet|\n"
+        )
+        register = write(
+            tmp_path,
+            "clash.risk",
+            "RISK|r1|A\nTHREAT|r1|-|-|r2::threat\n"
+            "RISK|r2|B\nTHREAT|r2|-|-|dev-tablet\n",
+        )
+        code, out, err = run(
+            capsys,
+            "validate",
+            "--model",
+            model,
+            "--ruleset",
+            "archimate21",
+            "--register",
+            register,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: line 2: element id 'r2::threat' contains '::', which is "
+            "reserved for derived ids\n"
+        )
+
 
 class TestReport:
     def test_unmapped_empty_for_the_lab_model(self, capsys, lab):

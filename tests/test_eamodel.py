@@ -59,6 +59,23 @@ def test_element_lookup_and_contains():
         m.element("b")
 
 
+def test_elements_is_a_read_only_view_of_the_index():
+    parsed = parse_tabular(
+        "FRAMEWORK|togaf91\nE|b|actor|Bob|\nE|a|actor|Alice|\n"
+    )
+    built = EAModel("togaf91", [EAElement("b", "actor"), EAElement("a", "actor")])
+    for m in (parsed, built):
+        assert list(m.elements) == ["b", "a"]
+        assert m.elements["a"] is m.element("a")
+        with pytest.raises(TypeError):
+            m.elements["c"] = EAElement("c", "actor")
+        with pytest.raises(TypeError):
+            del m.elements["a"]
+        with pytest.raises(AttributeError):
+            m.elements.pop("a")
+        assert list(m.elements) == ["b", "a"]
+
+
 def test_equality_ignores_source_and_warnings():
     elems = [EAElement("a", "actor")]
     m1 = EAModel("togaf91", elems, source="one.tab", warnings=("w",))

@@ -2,8 +2,12 @@
 
 import random
 
+import pytest
+
 from riskalign.builtin_tables import builtin_ruleset
+from riskalign.classify import Tier, classify_model
 from riskalign.concepts import ISSRMConcept as C
+from riskalign.mappings import AnnotationTarget, CompositeTarget
 from riskalign.riskgraph import (
     Entity,
     Relation,
@@ -21,6 +25,32 @@ def test_indexed_pipeline_matches_scans_on_random_models():
         rng = random.Random(seed)
         model = random_model(rng, max_elements=25, framework="archimate21")
         check_against_scans(ruleset, model, rng)
+
+
+# What each framework's pool must reach for the differential to cover it.
+_PLANTED = {
+    "togaf91": lambda fact: fact.tier is Tier.RELATED,  # principle
+    "dodaf202": lambda fact: (
+        type(fact.target) is CompositeTarget and fact.tier is Tier.DEFINITE
+    ),
+    "iaf": lambda fact: fact.row == 1,  # the carries_information=true row
+}
+
+
+@pytest.mark.parametrize("framework", sorted(_PLANTED))
+def test_indexed_pipeline_matches_scans_on_every_framework(framework):
+    ruleset = builtin_ruleset(framework)
+    planted = annotated = 0
+    for seed in range(50):
+        rng = random.Random(seed)
+        model = random_model(rng, max_elements=25, framework=framework)
+        facts = classify_model(ruleset, model).facts
+        planted += any(map(_PLANTED[framework], facts))
+        annotated += any(type(f.target) is AnnotationTarget for f in facts)
+        check_against_scans(ruleset, model, rng)
+    assert planted > 25
+    if framework == "dodaf202":
+        assert annotated > 25
 
 
 _GRAPH_CONCEPTS = (

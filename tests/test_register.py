@@ -171,6 +171,29 @@ def test_declared_ids_may_not_take_derived_names(line):
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "THREAT|r1|a|m|data,data::copy",
+        "VULN|r1|v|data::copy",
+        "IMPACT|r1|i|data::copy|",
+        "CRIT|c1|Name|svc,data::copy",
+    ],
+)
+def test_bound_element_ids_may_not_take_derived_names(line):
+    # A model element named like a risk part, say r1::threat, would be bound
+    # and then replaced by the derived entity in induced_graph.
+    text = "RISK|r1|A\nVULN|r1|v|data\n" + line + "\n"
+    model = SMALL + "E|data::copy|Data entity|Copy of the clinical data|\n"
+    with pytest.raises(CatalogFormatError) as exc:
+        parse_risk_catalog(text, classification_of(model))
+    assert exc.value.line == 3
+    assert str(exc.value) == (
+        "line 3: element id 'data::copy' contains '::', which is reserved for "
+        "derived ids"
+    )
+
+
 def test_bound_concept_prefers_strongest_definite(lab_reviewed):
     assert bound_concept(lab_reviewed, "dev-tablet") is C.IS_ASSET
     assert bound_concept(lab_reviewed, "bs-home-blood-taking") is C.BUSINESS_ASSET
