@@ -1,11 +1,13 @@
 """Golden CLI output: stdout, stderr and exit code of cli.main, byte for byte.
 
 Each case runs one command line over the fixtures and compares the result
-with tests/fixtures/cli_golden.json. Paths in the argument lists are written
-relative to tests/fixtures as "{fixtures}/...". --stamp is left out because
-its output carries the current time.
+with tests/fixtures/cli_golden.json, or, for the cases over the model,
+overlay and register whose ids and texts carry record escapes,
+tests/fixtures/cli_golden_escaped.json. Paths in the argument lists are
+written relative to tests/fixtures as "{fixtures}/...". --stamp is left out
+because its output carries the current time.
 
-After a deliberate output change, rewrite the golden file with
+After a deliberate output change, rewrite the golden files with
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
 """
@@ -25,6 +27,7 @@ from riskalign.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "cli_golden.json"
+GOLDEN_ESCAPED = FIXTURES / "cli_golden_escaped.json"
 
 MODELS = {"xml": "lab_model.xml", "tab": "lab_model.tab"}
 LAB = ["--ruleset", "archimate21", "--overlay", "{fixtures}/lab.overlay"]
@@ -113,6 +116,33 @@ def golden_cases() -> list[tuple[str, list[str]]]:
     return cases
 
 
+def escaped_cases() -> list[tuple[str, list[str]]]:
+    """(case name, argv) for every command line over golden_inputs/escaped.*,
+    on the exchange XML and on the tabular text that import writes from it."""
+    inputs = "{fixtures}/golden_inputs/escaped"
+    review = ["--ruleset", "archimate21", "--overlay", inputs + ".overlay"]
+    register = ["--register", inputs + ".risk"]
+    per_model = [
+        ("import", ["import"]),
+        ("classify", ["classify", "--ruleset", "archimate21"]),
+        ("classify-overlay", ["classify", *review]),
+        ("review", ["review", *review]),
+        ("validate", ["validate", *review, *register]),
+        ("trace-r1", ["trace", "r|1", *review, *register]),
+        ("trace-r2", ["trace", "r2", *review, *register]),
+        ("report-coverage", ["report", "coverage", *review, *register]),
+        ("query-supports", ["query", "supports", "dev\\|tablet", *review]),
+        ("query-neighbors", ["query", "neighbors", "drv|conf", *review]),
+    ]
+    return [
+        (f"escaped-{name}-{model_kind}-{fmt}",
+         [*argv, "--model", f"{inputs}.{model_kind}", "--format", fmt])
+        for model_kind in ("xml", "tab")
+        for name, argv in per_model
+        for fmt in ("text", "records")
+    ]
+
+
 def run_case(argv: list[str]) -> dict:
     """Run cli.main in-process; returns stdout, stderr and the exit code."""
     argv = [arg.replace("{fixtures}", str(FIXTURES)) for arg in argv]
@@ -123,20 +153,23 @@ def run_case(argv: list[str]) -> dict:
 
 
 @functools.lru_cache(maxsize=None)
-def _golden() -> dict:
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+def _golden(path: Path) -> dict:
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
-CASES = golden_cases()
+GOLDEN_FILES = {GOLDEN: golden_cases(), GOLDEN_ESCAPED: escaped_cases()}
+CASES = [(path, name, argv) for path, cases in GOLDEN_FILES.items()
+         for name, argv in cases]
 
 
 def test_golden_file_names_every_case():
-    assert sorted(_golden()) == sorted(name for name, _ in CASES)
+    for path, cases in GOLDEN_FILES.items():
+        assert sorted(_golden(path)) == sorted(name for name, _ in cases)
 
 
-@pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
-def test_cli_output_matches_golden(name, argv):
-    expected = _golden()[name]
+@pytest.mark.parametrize("path, name, argv", CASES, ids=[name for _, name, _ in CASES])
+def test_cli_output_matches_golden(path, name, argv):
+    expected = _golden(path)[name]
     assert expected["argv"] == argv
     actual = run_case(argv)
     assert actual["stdout"] == expected["stdout"]
@@ -145,7 +178,8 @@ def test_cli_output_matches_golden(name, argv):
 
 
 if __name__ == "__main__":
-    golden = {name: {"argv": argv, **run_case(argv)} for name, argv in CASES}
-    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n",
-                      encoding="utf-8")
-    print(f"wrote {len(golden)} cases to {GOLDEN}", file=sys.stderr)
+    for path, cases in GOLDEN_FILES.items():
+        golden = {name: {"argv": argv, **run_case(argv)} for name, argv in cases}
+        path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n",
+                        encoding="utf-8")
+        print(f"wrote {len(golden)} cases to {path}", file=sys.stderr)
