@@ -207,6 +207,7 @@ def parse_tabular(text: str, source: str = "") -> EAModel:
     relationships: list[EARelationship] = []
     rel_ids: set[str] = set()
     normalized: dict[str, str] = {}
+    new = tuple.__new__  # records from checked fields, without their Python-level __new__
 
     for lineno, fields in recordio.iter_records(text):
         tag = fields[0]
@@ -235,7 +236,7 @@ def parse_tabular(text: str, source: str = "") -> EAModel:
                 concept = normalized[concept_name] = normalize_name(concept_name)
             # field unescaping strips one level, leaving attr escapes intact
             attrs = recordio.parse_attrs(attr_field, lineno)
-            elements[elem_id] = EAElement(elem_id, concept, name, attrs)
+            elements[elem_id] = new(EAElement, (elem_id, concept, name, attrs))
         elif tag == "R":
             if len(fields) != 5:
                 raise ModelFormatError(
@@ -255,7 +256,7 @@ def parse_tabular(text: str, source: str = "") -> EAModel:
             norm_kind = normalized.get(kind)
             if norm_kind is None:
                 norm_kind = normalized[kind] = normalize_name(kind)
-            relationships.append(EARelationship(rel_id, norm_kind, src, dst))
+            relationships.append(new(EARelationship, (rel_id, norm_kind, src, dst)))
         elif tag == "FRAMEWORK":
             raise ModelFormatError("duplicate FRAMEWORK record", lineno)
         else:

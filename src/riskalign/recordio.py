@@ -1,10 +1,13 @@
 """Reading and writing the pipe-delimited record formats.
 
 All text formats in this package share one escaping rule: a backslash quotes
-the next character. The field layer escapes backslash and the pipe
-separator; the attribute layer inside a field additionally escapes ";" and
-"=". Layers nest cleanly because each one escapes its own backslashes.
-Fields are single-line; writers reject embedded line breaks.
+the next character, and a trailing lone backslash is dropped. The field
+layer escapes backslash and the pipe separator; the attribute layer inside a
+field additionally escapes ";" and "=". Layers nest cleanly because each one
+escapes its own backslashes. Readers and writers take single-line text; both
+reject a "\\n" (writers a "\\r" too), so readers code escaped pairs as
+"\\n"-led tokens. Pairing backslashes from the left with str.replace matches
+a left-to-right scan, because every run of backslashes starts unescaped.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from .errors import LineError
+
+_LINE_BREAK = "record text contains a line break"
 
 
 def escape_field(value: str) -> str:
@@ -31,46 +36,38 @@ def escape_item(value: str) -> str:
 
 def unescape(value: str) -> str:
     """Remove one level of backslash escaping."""
+    if "\n" in value:
+        raise ValueError(_LINE_BREAK)
     if "\\" not in value:
         return value
-    out: list[str] = []
-    it = iter(value)
-    for ch in it:
-        if ch == "\\":
-            out.append(next(it, ""))
-        else:
-            out.append(ch)
-    return "".join(out)
+    return value.replace("\\\\", "\n").replace("\\", "").replace("\n", "\\")
 
 
 def split_escaped(value: str, sep: str) -> list[str]:
-    """Split on unescaped separators, keeping escapes in the pieces."""
-    pieces: list[str] = []
-    current: list[str] = []
-    escaped = False
-    for ch in value:
-        if escaped:
-            current.append(ch)
-            escaped = False
-        elif ch == "\\":
-            current.append(ch)
-            escaped = True
-        elif ch == sep:
-            pieces.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    pieces.append("".join(current))
-    return pieces
+    """Split on unescaped sep ("|", ";" or "="), keeping escapes in the pieces."""
+    if "\n" in value:
+        raise ValueError(_LINE_BREAK)
+    if "\\" not in value:
+        return value.split(sep)
+    escaped_sep = "\\" + sep
+    coded = value.replace("\\\\", "\n0").replace(escaped_sep, "\n1")
+    return [
+        piece.replace("\n1", escaped_sep).replace("\n0", "\\\\") if "\n" in piece else piece
+        for piece in coded.split(sep)
+    ]
 
 
 def join_record(fields: list[str] | tuple[str, ...]) -> str:
-    return "|".join(escape_field(f) for f in fields)
+    """One record line; only one with a backslash, pipe or line break in a field is escaped."""
+    line = "|".join(fields)
+    if "\\" in line or "\n" in line or "\r" in line or line.count("|") != len(fields) - 1:
+        return "|".join([escape_field(f) for f in fields])
+    return line
 
 
 def join_records(rows: Iterable[list[str] | tuple[str, ...]]) -> str:
     """A records document: one joined line per row, each ended by a newline."""
-    return "".join(join_record(row) + "\n" for row in rows)
+    return "".join([join_record(row) + "\n" for row in rows])
 
 
 def split_list(text: str) -> tuple[str, ...]:
@@ -80,7 +77,14 @@ def split_list(text: str) -> tuple[str, ...]:
 
 def split_record(line: str) -> list[str]:
     """Split a record line into unescaped fields."""
-    return [unescape(f) for f in split_escaped(line, "|")]
+    if "\n" in line:
+        raise ValueError(_LINE_BREAK)
+    if "\\" not in line:
+        return line.split("|")
+    # escaped "\\" and "|" become tokens; other escapes go and "\\" returns before the split
+    coded = line.replace("\\\\", "\n0").replace("\\|", "\n1").replace("\\", "").replace("\n0", "\\")
+    fields = coded.split("|")
+    return [field.replace("\n1", "|") for field in fields] if "\n" in coded else fields
 
 
 def iter_records(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -88,8 +92,7 @@ def iter_records(text: str) -> Iterator[tuple[int, list[str]]]:
 
     Records are newline delimited; a trailing "\\r" is tolerated so CRLF
     files parse. Blank lines and lines starting with "#" are skipped. Line
-    numbers are 1-based over the full text, comments included. A line with
-    no backslash has nothing to unescape, so str.split gives its fields.
+    numbers are 1-based over the full text, comments included.
     """
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -98,7 +101,7 @@ def iter_records(text: str) -> Iterator[tuple[int, list[str]]]:
         line = line.removesuffix("\r")
         if not line.strip() or line.startswith("#"):
             continue
-        yield lineno, split_record(line) if "\\" in line else line.split("|")
+        yield lineno, split_record(line)
 
 
 def format_attrs(attrs: dict[str, str]) -> str:
@@ -112,8 +115,8 @@ def parse_attrs(field: str, lineno: int | None = None) -> dict[str, str]:
     if not field:
         return {}
     attrs: dict[str, str] = {}
-    for item in _split(field, ";"):
-        parts = _split(item, "=")
+    for item in split_escaped(field, ";"):
+        parts = split_escaped(item, "=")
         if len(parts) != 2:
             raise LineError(f"malformed attribute {unescape(item)!r}", lineno)
         key, value = unescape(parts[0]), unescape(parts[1])
@@ -123,11 +126,6 @@ def parse_attrs(field: str, lineno: int | None = None) -> dict[str, str]:
             raise LineError(f"duplicate attribute key {key!r}", lineno)
         attrs[key] = value
     return attrs
-
-
-def _split(value: str, sep: str) -> list[str]:
-    """split_escaped, taking str.split when there is no escape to keep."""
-    return split_escaped(value, sep) if "\\" in value else value.split(sep)
 
 
 def _reject_newline(value: str) -> None:

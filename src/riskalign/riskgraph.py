@@ -111,85 +111,85 @@ class Violation(NamedTuple):
 
 
 # Endpoint kind constraints per relation kind. The target-side code is
-# specialized where a named rule exists for that relation.
+# specialized where a named rule exists for that relation. Kinds sit in
+# tuples, so membership compares members by identity instead of hashing
+# them through Enum.__hash__, a Python function before 3.12.
 _SOURCE = "REL_SOURCE_KIND"
 _TARGET = "REL_TARGET_KIND"
 _ENDPOINT_RULES: dict[
     RelationKind,
-    tuple[frozenset[ISSRMConcept], frozenset[ISSRMConcept], str],
+    tuple[tuple[ISSRMConcept, ...], tuple[ISSRMConcept, ...], str],
 ] = {
     RelationKind.SUPPORTS: (
-        frozenset({ISSRMConcept.IS_ASSET}),
-        frozenset({ISSRMConcept.BUSINESS_ASSET}),
+        (ISSRMConcept.IS_ASSET,),
+        (ISSRMConcept.BUSINESS_ASSET,),
         _TARGET,
     ),
     RelationKind.CONSTRAINS: (
-        frozenset({ISSRMConcept.SECURITY_CRITERION}),
-        frozenset({ISSRMConcept.BUSINESS_ASSET}),
+        (ISSRMConcept.SECURITY_CRITERION,),
+        (ISSRMConcept.BUSINESS_ASSET,),
         "CRIT_NOT_ON_BIZASSET",
     ),
     RelationKind.TARGETS: (
-        frozenset({ISSRMConcept.THREAT}),
-        frozenset({ISSRMConcept.IS_ASSET}),
+        (ISSRMConcept.THREAT,),
+        (ISSRMConcept.IS_ASSET,),
         "THR_TARGET_NOT_ISASSET",
     ),
     RelationKind.CHARACTERISTIC_OF: (
-        frozenset({ISSRMConcept.VULNERABILITY}),
-        frozenset({ISSRMConcept.IS_ASSET}),
+        (ISSRMConcept.VULNERABILITY,),
+        (ISSRMConcept.IS_ASSET,),
         "VULN_NOT_ON_ISASSET",
     ),
     RelationKind.USES: (
-        frozenset({ISSRMConcept.THREAT_AGENT}),
-        frozenset({ISSRMConcept.ATTACK_METHOD}),
+        (ISSRMConcept.THREAT_AGENT,),
+        (ISSRMConcept.ATTACK_METHOD,),
         _TARGET,
     ),
     RelationKind.LEADS_TO: (
-        frozenset({ISSRMConcept.EVENT}),
-        frozenset({ISSRMConcept.IMPACT}),
+        (ISSRMConcept.EVENT,),
+        (ISSRMConcept.IMPACT,),
         _TARGET,
     ),
     RelationKind.HARMS: (
-        frozenset({ISSRMConcept.IMPACT}),
-        ASSET_KINDS,
+        (ISSRMConcept.IMPACT,),
+        tuple(ASSET_KINDS),
         _TARGET,
     ),
     RelationKind.NEGATES: (
-        frozenset({ISSRMConcept.IMPACT}),
-        frozenset({ISSRMConcept.SECURITY_CRITERION}),
+        (ISSRMConcept.IMPACT,),
+        (ISSRMConcept.SECURITY_CRITERION,),
         _TARGET,
     ),
     RelationKind.DECISION_FOR: (
-        frozenset({ISSRMConcept.RISK_TREATMENT}),
-        frozenset({ISSRMConcept.RISK}),
+        (ISSRMConcept.RISK_TREATMENT,),
+        (ISSRMConcept.RISK,),
         _TARGET,
     ),
     RelationKind.REFINES: (
-        frozenset({ISSRMConcept.SECURITY_REQUIREMENT}),
-        frozenset({ISSRMConcept.RISK_TREATMENT}),
+        (ISSRMConcept.SECURITY_REQUIREMENT,),
+        (ISSRMConcept.RISK_TREATMENT,),
         _TARGET,
     ),
     RelationKind.MITIGATES: (
-        frozenset({ISSRMConcept.SECURITY_REQUIREMENT}),
-        frozenset({ISSRMConcept.RISK}),
+        (ISSRMConcept.SECURITY_REQUIREMENT,),
+        (ISSRMConcept.RISK,),
         _TARGET,
     ),
     RelationKind.IMPLEMENTS: (
-        frozenset({ISSRMConcept.CONTROL}),
-        frozenset({ISSRMConcept.SECURITY_REQUIREMENT}),
+        (ISSRMConcept.CONTROL,),
+        (ISSRMConcept.SECURITY_REQUIREMENT,),
         _TARGET,
     ),
 }
 
 # Legal (part concept, whole concept) pairs for part_of.
-PART_OF_PAIRS = frozenset(
-    {
-        (ISSRMConcept.THREAT, ISSRMConcept.EVENT),
-        (ISSRMConcept.VULNERABILITY, ISSRMConcept.EVENT),
-        (ISSRMConcept.EVENT, ISSRMConcept.RISK),
-        (ISSRMConcept.IMPACT, ISSRMConcept.RISK),
-        (ISSRMConcept.THREAT_AGENT, ISSRMConcept.THREAT),
-        (ISSRMConcept.ATTACK_METHOD, ISSRMConcept.THREAT),
-    }
+PART_OF_PAIRS = (
+    (ISSRMConcept.THREAT, ISSRMConcept.EVENT),
+    (ISSRMConcept.VULNERABILITY, ISSRMConcept.EVENT),
+    (ISSRMConcept.EVENT, ISSRMConcept.RISK),
+    (ISSRMConcept.IMPACT, ISSRMConcept.RISK),
+    (ISSRMConcept.THREAT_AGENT, ISSRMConcept.THREAT),
+    (ISSRMConcept.ATTACK_METHOD, ISSRMConcept.THREAT),
 )
 
 
@@ -243,15 +243,15 @@ def validate_structure(graph: RiskGraph) -> list[Violation]:
     characterizes: set[str] = set()  # sources of characteristic_of edges
 
     # Unpack each relation once: NamedTuple field reads cost more than locals.
+    # Subjects are built only for findings: kind.value is a Python descriptor.
     for kind, source, target in graph.relations:
-        subjects = (kind.value, source, target)
         src = entities.get(source)
         dst = entities.get(target)
         if src is None or dst is None:
             missing = source if src is None else target
             emit(
                 "REL_ENDPOINT_MISSING",
-                subjects,
+                (kind.value, source, target),
                 f"{kind} endpoint {missing!r} is not an entity in the graph",
             )
             continue
@@ -265,7 +265,7 @@ def validate_structure(graph: RiskGraph) -> list[Violation]:
             else:
                 emit(
                     "PART_OF_PAIR",
-                    subjects,
+                    (kind.value, source, target),
                     f"{src.concept} cannot be part of {dst.concept}",
                 )
             continue
@@ -273,14 +273,14 @@ def validate_structure(graph: RiskGraph) -> list[Violation]:
         if src.concept not in source_kinds:
             emit(
                 _SOURCE,
-                subjects,
+                (kind.value, source, target),
                 f"{kind} source must be "
                 f"{_kinds_label(source_kinds)}, got {src.concept}",
             )
         if dst.concept not in target_kinds:
             emit(
                 target_code,
-                subjects,
+                (kind.value, source, target),
                 f"{kind} target must be "
                 f"{_kinds_label(target_kinds)}, got {dst.concept}",
             )
@@ -341,7 +341,7 @@ def validate_structure(graph: RiskGraph) -> list[Violation]:
     return sorted(found, key=Violation.sort_key)
 
 
-def _kinds_label(kinds: frozenset[ISSRMConcept]) -> str:
+def _kinds_label(kinds: tuple[ISSRMConcept, ...]) -> str:
     return " or ".join(sorted(k.value for k in kinds))
 
 

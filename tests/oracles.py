@@ -11,7 +11,12 @@ the register graph and validation that spelled every risk part and
 derived id inline as induced_graph_inline and validate_register_inline, the
 classifier that resolved every element's rules afresh as
 classify_model_per_element, and the tabular parser whose model constructor
-checked every id and endpoint again as parse_tabular_checked_twice.
+checked every id and endpoint again as parse_tabular_checked_twice. The
+record readers that stepped through each escaped line one character at a
+time live on as unescape_by_char, split_escaped_by_char and the readers
+built on them, and the writer that escaped each field on its own as
+join_record_per_field; parse_tabular_checked_twice and
+export_tabular_per_field read and write through them.
 """
 
 import heapq
@@ -44,6 +49,7 @@ from riskalign.eamodel import (
 from riskalign.errors import (
     FrameworkMismatchError,
     InputError,
+    LineError,
     ModelFormatError,
     ReviewError,
     UnknownElementError,
@@ -977,6 +983,100 @@ def classify_model_per_element(ruleset: Ruleset, model: EAModel) -> Classificati
     )
 
 
+# --- record readers and writers one character or one field at a time ---------------
+
+
+def unescape_by_char(value: str) -> str:
+    """Remove one level of backslash escaping."""
+    if "\\" not in value:
+        return value
+    out: list[str] = []
+    it = iter(value)
+    for ch in it:
+        if ch == "\\":
+            out.append(next(it, ""))
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def split_escaped_by_char(value: str, sep: str) -> list[str]:
+    """Split on unescaped separators, keeping escapes in the pieces."""
+    pieces: list[str] = []
+    current: list[str] = []
+    escaped = False
+    for ch in value:
+        if escaped:
+            current.append(ch)
+            escaped = False
+        elif ch == "\\":
+            current.append(ch)
+            escaped = True
+        elif ch == sep:
+            pieces.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    pieces.append("".join(current))
+    return pieces
+
+
+def split_record_by_char(line: str) -> list[str]:
+    """Split a record line into unescaped fields."""
+    return [unescape_by_char(f) for f in split_escaped_by_char(line, "|")]
+
+
+def iter_records_by_char(text: str):
+    """Yield (line number, fields) for each record line."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    for lineno, line in enumerate(lines, start=1):
+        line = line.removesuffix("\r")
+        if not line.strip() or line.startswith("#"):
+            continue
+        yield lineno, split_record_by_char(line)
+
+
+def parse_attrs_by_char(field: str, lineno: int | None = None) -> dict[str, str]:
+    """Parse a k=v;k=v attribute field. Empty input means no attributes."""
+    if not field:
+        return {}
+    attrs: dict[str, str] = {}
+    for item in split_escaped_by_char(field, ";"):
+        parts = split_escaped_by_char(item, "=")
+        if len(parts) != 2:
+            raise LineError(f"malformed attribute {unescape_by_char(item)!r}", lineno)
+        key, value = unescape_by_char(parts[0]), unescape_by_char(parts[1])
+        if not key:
+            raise LineError("attribute with empty key", lineno)
+        if key in attrs:
+            raise LineError(f"duplicate attribute key {key!r}", lineno)
+        attrs[key] = value
+    return attrs
+
+
+def join_record_per_field(fields) -> str:
+    return "|".join(recordio.escape_field(f) for f in fields)
+
+
+def join_records_per_field(rows) -> str:
+    return "".join(join_record_per_field(row) + "\n" for row in rows)
+
+
+def export_tabular_per_field(model: EAModel) -> str:
+    """The tabular text of a model, elements before relationships."""
+    rows = [("FRAMEWORK", model.framework)]
+    rows.extend(
+        ("E", elem.id, elem.concept_name, elem.name, recordio.format_attrs(elem.attributes))
+        for elem in model.elements.values()
+    )
+    rows.extend(
+        ("R", rel.id, rel.kind, rel.source, rel.target) for rel in model.relationships
+    )
+    return join_records_per_field(rows)
+
+
 def parse_tabular_checked_twice(text: str, source: str = "") -> EAModel:
     """Parse the tabular model format. Errors carry 1-based line numbers."""
     framework: str | None = None
@@ -985,7 +1085,7 @@ def parse_tabular_checked_twice(text: str, source: str = "") -> EAModel:
     relationships: list[EARelationship] = []
     rel_ids: set[str] = set()
 
-    for lineno, fields in recordio.iter_records(text):
+    for lineno, fields in iter_records_by_char(text):
         tag = fields[0]
         if framework is None:
             if tag != "FRAMEWORK" or len(fields) != 2:
@@ -1009,7 +1109,7 @@ def parse_tabular_checked_twice(text: str, source: str = "") -> EAModel:
                 raise ModelFormatError(f"duplicate element id {elem_id!r}", lineno)
             element_ids.add(elem_id)
             # field unescaping strips one level, leaving attr escapes intact
-            attrs = recordio.parse_attrs(attr_field, lineno)
+            attrs = parse_attrs_by_char(attr_field, lineno)
             elements.append(
                 EAElement(elem_id, normalize_name(concept_name), name, attrs)
             )
