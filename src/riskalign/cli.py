@@ -3,8 +3,11 @@
 Subcommands read a model (exchange XML or tabular text, sniffed by the
 first non-space byte), run one analysis, and write the report to --out or
 standard output. Exit codes: 0 success, 1 when the produced report contains
-ERROR findings or unknown elements, 2 for usage and input errors. Output is
+ERROR findings or unknown elements, 2 for usage and input errors. A closed
+standard output ends the call with 0 and an unwritable one with 2. Output is
 byte-identical across runs unless --stamp is given.
+
+run() is the process entry point; main() runs one call in-process.
 
 Only the modules every subcommand needs are imported here; each loader and
 subcommand imports the rest where it uses them, so a call loads only the
@@ -16,10 +19,11 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import os
 import sys
 import time
 from collections.abc import Callable
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .eamodel import (
     FRAMEWORKS,
@@ -62,6 +66,38 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if collecting:
             gc.enable()
+
+
+def run() -> NoReturn:
+    """Run main on the command line, flush the standard streams and end the
+    process with os._exit.
+
+    Once the report is flushed, interpreter teardown would only finalize
+    modules and free every model, fact and graph object one at a time, at a
+    cost of the same order as a small call's work; os._exit skips it. So
+    atexit handlers do not run: in-process callers such as tests and
+    library code use main, which returns.
+    """
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code  # argparse exits with an int status
+    # A stream is None when its descriptor was closed before start-up.
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        code = 0
+    except OSError as exc:
+        print(f"error: cannot write standard output: {exc.strerror or exc}",
+              file=sys.stderr)
+        code = 2
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass  # there is nowhere left to report it
+    os._exit(code)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -253,7 +289,14 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         except OSError as exc:
             raise InputError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except BrokenPipeError:
+            raise
+        except OSError as exc:
+            raise InputError(
+                f"cannot write standard output: {exc.strerror or exc}"
+            ) from None
 
 
 def _report(args: argparse.Namespace, render_text: Callable[..., str],
@@ -354,4 +397,4 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

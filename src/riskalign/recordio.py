@@ -79,6 +79,11 @@ def split_record(line: str) -> list[str]:
     """Split a record line into unescaped fields."""
     if "\n" in line:
         raise ValueError(_LINE_BREAK)
+    return _split_line(line)
+
+
+def _split_line(line: str) -> list[str]:
+    """split_record for a line known to hold no line break."""
     if "\\" not in line:
         return line.split("|")
     # escaped "\\" and "|" become tokens; other escapes go and "\\" returns before the split
@@ -101,7 +106,7 @@ def iter_records(text: str) -> Iterator[tuple[int, list[str]]]:
         line = line.removesuffix("\r")
         if not line.strip() or line.startswith("#"):
             continue
-        yield lineno, split_record(line)
+        yield lineno, _split_line(line)
 
 
 def format_attrs(attrs: dict[str, str]) -> str:

@@ -181,6 +181,11 @@ _ENDPOINT_RULES: dict[
         _TARGET,
     ),
 }
+# Each member carries its rule, so validate_structure reads kind._endpoints
+# instead of hashing the member for a dict lookup.
+for _kind, _rule in _ENDPOINT_RULES.items():
+    _kind._endpoints = _rule
+del _kind, _rule
 
 # Legal (part concept, whole concept) pairs for part_of.
 PART_OF_PAIRS = (
@@ -269,7 +274,7 @@ def validate_structure(graph: RiskGraph) -> list[Violation]:
                     f"{src.concept} cannot be part of {dst.concept}",
                 )
             continue
-        source_kinds, target_kinds, target_code = _ENDPOINT_RULES[kind]
+        source_kinds, target_kinds, target_code = kind._endpoints
         if src.concept not in source_kinds:
             emit(
                 _SOURCE,

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, output formats, error reporting."""
 
+import errno
 import os
 import pyexpat
 import re
@@ -984,38 +985,115 @@ class TestOutFiles:
         assert target.read_text().startswith("violations: 4\n")
 
 
+CLI = [sys.executable, "-m", "riskalign.cli"]
+
+
+def child_env(buffered: bool = False) -> dict[str, str]:
+    """The environment for a CLI subprocess that imports the same riskalign
+    as this process, installed or not; buffered drops PYTHONUNBUFFERED so
+    the child's stdout is block-buffered."""
+    src = str(Path(riskalign.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+@pytest.fixture
+def big_model(tmp_path):
+    """A 3,000-element model whose import report outgrows a 64 KiB pipe buffer."""
+    lines = ["FRAMEWORK|archimate21"]
+    lines += [
+        f"E|bo-{i}|business object|Business object number {i}|" for i in range(3000)
+    ]
+    return write(tmp_path, "big.tab", "\n".join(lines) + "\n")
+
+
+def validate_argv(lab):
+    return [
+        "validate",
+        "--model",
+        lab["model"],
+        "--ruleset",
+        "archimate21",
+        "--overlay",
+        lab["overlay"],
+        "--register",
+        lab["register"],
+    ]
+
+
 class TestInstalledEntryPoint:
     def test_subprocess_exit_codes(self, lab):
-        base = [sys.executable, "-m", "riskalign.cli"]
-        # The child imports the same riskalign as this process, installed or not.
-        src = str(Path(riskalign.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
+        env = child_env()
         ok = subprocess.run(
-            base
-            + [
-                "validate",
-                "--model",
-                lab["model"],
-                "--ruleset",
-                "archimate21",
-                "--overlay",
-                lab["overlay"],
-                "--register",
-                lab["register"],
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
+            CLI + validate_argv(lab), capture_output=True, text=True, env=env
         )
         assert ok.returncode == 0
         assert ok.stdout.startswith("violations: 1\n")
 
         bad_usage = subprocess.run(
-            base + ["trace"], capture_output=True, text=True, env=env
+            CLI + ["trace"], capture_output=True, text=True, env=env
         )
         assert bad_usage.returncode == 2
         assert "usage:" in bad_usage.stderr
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_report_larger_than_a_pipe_buffer_arrives_whole(
+        self, capsys, big_model, buffered
+    ):
+        argv = ["import", "--model", big_model]
+        code, expected, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(expected.encode()) > 64 * 1024
+        child = subprocess.run(
+            CLI + argv, capture_output=True, text=True, env=child_env(buffered)
+        )
+        assert (child.returncode, child.stderr) == (0, "")
+        assert child.stdout == expected
+
+    @staticmethod
+    def run_without_descriptor(fd, argv, **kwargs):
+        """Run the CLI with descriptor fd closed before the interpreter
+        starts, which leaves the matching sys.stdout or sys.stderr None."""
+        script = (
+            "import os, sys\n"
+            f"os.close({fd})\n"
+            f"os.execv(sys.executable, [sys.executable, '-m', 'riskalign.cli', *{argv!r}])\n"
+        )
+        return subprocess.run(
+            [sys.executable, "-c", script], text=True, env=child_env(), **kwargs
+        )
+
+    def test_usage_error_without_a_stdout_descriptor(self):
+        child = self.run_without_descriptor(1, [], stderr=subprocess.PIPE)
+        assert child.returncode == 2
+        assert "usage:" in child.stderr
+        assert "Traceback" not in child.stderr
+
+    def test_report_without_a_stderr_descriptor(self, lab, fixtures_dir):
+        child = self.run_without_descriptor(
+            2, ["import", "--model", lab["model"]], stdout=subprocess.PIPE
+        )
+        assert child.returncode == 0
+        assert child.stdout == (fixtures_dir / "lab_model.tab").read_text()
+
+    def test_an_unexpected_exception_keeps_its_traceback(self):
+        script = (
+            "import riskalign.cli as cli\n"
+            "def main(argv):\n"
+            "    raise RuntimeError('planted')\n"
+            "cli.main = main\n"
+            "cli.run()\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=child_env(),
+        )
+        assert child.returncode == 1
+        assert "Traceback" in child.stderr
+        assert "RuntimeError: planted" in child.stderr
 
 
 class _ClosedPipe:
@@ -1028,9 +1106,63 @@ class _ClosedPipe:
         pass
 
 
+class _FullDevice:
+    """A stdout on a device with no space left."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+
 class TestBrokenPipe:
     def test_closed_stdout_exits_zero_without_stderr(self, capsys, monkeypatch, lab):
         monkeypatch.setattr(sys, "stdout", _ClosedPipe())
         code = main(["import", "--model", lab["model"]])
         assert code == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("size", ["small", "large"])
+    def test_closed_stdout_pipe_in_a_subprocess(self, lab, big_model, size, buffered):
+        # A buffered small report first fails in the flush after main returns.
+        argv = validate_argv(lab) if size == "small" else ["import", "--model", big_model]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run(
+                CLI + argv, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=child_env(buffered),
+            )
+        finally:
+            os.close(write_end)
+        assert (child.returncode, child.stderr) == (0, "")
+
+
+class TestUnwritableStdout:
+    def test_write_error_is_an_input_error(self, capsys, monkeypatch, lab):
+        monkeypatch.setattr(sys, "stdout", _FullDevice())
+        code = main(["import", "--model", lab["model"]])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: cannot write standard output: No space left on device\n"
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("size", ["small", "large"])
+    def test_full_device_exits_two_with_one_error_line(
+        self, lab, big_model, size, buffered
+    ):
+        # Small reports fit the 8 KiB buffer, large ones fail inside main.
+        model = lab["model"] if size == "small" else big_model
+        with open("/dev/full", "w") as full:
+            child = subprocess.run(
+                CLI + ["import", "--model", model], stdout=full,
+                stderr=subprocess.PIPE, text=True, env=child_env(buffered),
+            )
+        assert child.returncode == 2
+        assert child.stderr == (
+            "error: cannot write standard output: No space left on device\n"
+        )
