@@ -16,13 +16,14 @@ modules its subcommand runs.
 
 from __future__ import annotations
 
-import argparse
+import errno
 import functools
 import gc
 import os
 import sys
 import time
 from collections.abc import Callable
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, NoReturn
 
 from .eamodel import (
@@ -52,11 +53,10 @@ def main(argv: list[str] | None = None) -> int:
     passes cost time that grows with the model and reclaim next to nothing.
     The caller's collector state is restored on the way out.
     """
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     collecting = gc.isenabled()
-    gc.disable()
     try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        gc.disable()
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -81,7 +81,7 @@ def run() -> NoReturn:
     try:
         code = main(sys.argv[1:])
     except SystemExit as exc:
-        code = exc.code  # argparse exits with an int status
+        code = exc.code  # a usage error or --help exits with an int status
     # A stream is None when its descriptor was closed before start-up.
     try:
         if sys.stdout is not None:
@@ -100,102 +100,122 @@ def run() -> NoReturn:
     os._exit(code)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="riskalign",
-        description="Classify architecture models into security risk roles "
-        "and analyze risk traceability.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# --- command line ----------------------------------------------------------------
 
-    model_opts = argparse.ArgumentParser(add_help=False)
-    model_opts.add_argument("--model", required=True, help="model file (XML or tabular)")
+# An argument is (name, help, required, choices, default): an option's name
+# starts with "-", a flag is an option whose default is False, and a
+# positional is always required.
+_HELP = ("-h/--help", "show this help message and exit", False, None, False)
 
-    ruleset_opts = argparse.ArgumentParser(add_help=False)
-    ruleset_opts.add_argument(
-        "--ruleset",
-        required=True,
-        help="builtin ruleset id (%s) or a ruleset file path" % ", ".join(FRAMEWORKS),
-    )
 
-    overlay_opts = argparse.ArgumentParser(add_help=False)
-    overlay_opts.add_argument("--overlay", help="review overlay file")
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """Parse a command line against _COMMANDS as argparse did: options and
+    positionals in any order, "--opt value" or "--opt=value", a unique
+    prefix for a long option, the last occurrence winning, and every token
+    after the first "--" positional. Usage errors and help go through
+    _usage_exit."""
+    name, tokens, values, extras = "", argv, {}, []
+    while True:  # the top-level command line, then the command's own arguments
+        func, _, args = _COMMANDS.get(name, _TOP)
+        fail = functools.partial(_usage_exit, name)
+        options = {"-h": _HELP, "--help": _HELP}
+        options.update((arg[0], arg) for arg in args if arg[0][0] == "-")
+        # A token is an option (its lookup) or an argument (None); from the
+        # first "--", at cut, every token is an argument.
+        cut = tokens.index("--") if "--" in tokens else len(tokens)
+        found = [_lookup(token, options, fail) for token in tokens[:cut]]
+        found += [None] * (len(tokens) - cut)
+        values |= {"func": func} | {_dest(arg): arg[4] for arg in args}
+        waiting = [arg for arg in args if arg[0][0] != "-"]
+        at = 0
+        while at < len(tokens):
+            start, hit = at, found[at]
+            at += 1
+            if hit and hit[0]:
+                arg, option, value = hit
+                if arg[4] is False:  # a flag, or -h/--help
+                    bad = value.lstrip("h") if option == "-h" and value else value
+                    if value is not None and (bad or not value):  # "-hh" is "-h -h"
+                        fail(f"argument {arg[0]}: ignored explicit argument {bad!r}")
+                    if arg is _HELP:
+                        _usage_exit(name)
+                    value = True
+                elif value is None:
+                    if at in (cut, len(tokens)) or found[at]:
+                        fail(f"argument {arg[0]}: expected one argument")
+                    value, at = tokens[at], at + 1
+            elif not hit and waiting and (start != cut or at < len(tokens)):
+                arg = waiting.pop(0)  # it takes one argument and a "--" beside it
+                at += start == cut
+                value = tokens[start if arg is _COMMAND else at - 1]
+                at += at == cut
+            else:  # an unknown option, or an argument no positional takes
+                extras.append(tokens[start])
+                continue
+            if arg[3] and value not in arg[3]:
+                choices = ", ".join(map(repr, arg[3]))
+                fail(f"argument {arg[0]}: invalid choice: {value!r} "
+                     f"(choose from {choices})")
+            values[_dest(arg)] = value
+            if arg is _COMMAND:  # the command reads every token after it
+                name, tokens = value, tokens[start + 1:]
+                break
+        else:
+            # A required argument defaults to None and a given one is a str.
+            missing = [arg[0] for arg in args if arg[2] and values[_dest(arg)] is None]
+            if missing:
+                fail(f"the following arguments are required: {', '.join(missing)}")
+            if extras:
+                _usage_exit("", f"unrecognized arguments: {' '.join(extras)}")
+            return SimpleNamespace(**values)
 
-    out_opts = argparse.ArgumentParser(add_help=False)
-    out_opts.add_argument("--out", help="output file (default: stdout)")
-    out_opts.add_argument(
-        "--format", choices=("text", "records"), default="text", help="output format"
-    )
-    out_opts.add_argument(
-        "--stamp", action="store_true", help="prepend a generation timestamp"
-    )
 
-    register_opts = argparse.ArgumentParser(add_help=False)
-    register_opts.add_argument("--register", required=True, help="risk catalog file")
+def _lookup(token: str, options: dict[str, tuple], fail: Callable[[str], NoReturn]):
+    """argparse's reading of one token: None for a positional, else the
+    argument (None if unknown), the option name and any "=value"."""
+    if token in options:
+        return options[token], token, None
+    head, eq, value = token.partition("=")
+    if eq and head in options:
+        return options[head], head, value
+    if token[:1] != "-" or len(token) == 1:
+        return None
+    if token[1] == "-":
+        hits = [(arg, option, value if eq else None)
+                for option, arg in options.items() if option.startswith(head)]
+    else:
+        hits = [(_HELP, "-h", token[2:])] * (token[:2] == "-h")
+    if len(hits) > 1:
+        matches = ", ".join(hit[1] for hit in hits)
+        fail(f"ambiguous option: {token} could match {matches}")
+    if hits:
+        return hits[0]
+    # A negative number or a token with a space is a positional.
+    digits, dot, tail = token[1:].removesuffix("\n").partition(".")
+    if (digits.isdecimal() or dot and not digits) and (not dot or tail.isdecimal()):
+        return None
+    return None if " " in token else (None, token, None)
 
-    kinds_opts = argparse.ArgumentParser(add_help=False)
-    kinds_opts.add_argument(
-        "--supports-kinds",
-        help="comma-separated relationship kinds the supports walk may use "
-        "(default: all)",
-    )
 
-    p = sub.add_parser(
-        "import", parents=[model_opts, out_opts],
-        help="parse a model and write its tabular form",
-    )
-    p.set_defaults(func=_cmd_import)
+def _usage_exit(name: str, message: str | None = None) -> NoReturn:
+    """Write help on the top level (no name) or a command to stdout and exit
+    0; given a message, write the usage line and one "<prog>: error:" line
+    to stderr and exit 2."""
+    from .usage import usage_text  # only help and usage errors load it
 
-    p = sub.add_parser(
-        "classify", parents=[model_opts, ruleset_opts, overlay_opts, out_opts],
-        help="classify model elements into risk roles",
-    )
-    p.set_defaults(func=_cmd_classify)
+    text = usage_text(name, message, _COMMANDS, _TOP, _HELP)
+    if message is None:
+        _emit(text)
+        raise SystemExit(0)
+    try:
+        sys.stderr.write(text)
+    except (AttributeError, OSError):
+        pass  # stderr was closed before start-up, or cannot be written
+    raise SystemExit(2)
 
-    p = sub.add_parser(
-        "review", parents=[model_opts, ruleset_opts, out_opts],
-        help="classify, then apply a review overlay",
-    )
-    p.add_argument("--overlay", required=True, help="review overlay file")
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser(
-        "validate",
-        parents=[model_opts, ruleset_opts, overlay_opts, register_opts, out_opts],
-        help="check a risk register against the structural rules",
-    )
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser(
-        "report", parents=[model_opts, ruleset_opts, overlay_opts, out_opts],
-        help="summary reports over a classified model",
-    )
-    p.add_argument("kind", choices=("unmapped", "coverage"))
-    p.add_argument("--register", help="risk catalog file (required for coverage)")
-    p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser(
-        "trace",
-        parents=[model_opts, ruleset_opts, overlay_opts, register_opts, kinds_opts,
-                 out_opts],
-        help="expand one risk into its traceability tree",
-    )
-    p.add_argument("risk_id")
-    p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser(
-        "query",
-        parents=[model_opts, ruleset_opts, overlay_opts, kinds_opts, out_opts],
-        help="point queries: supports, facts, neighbors",
-    )
-    p.add_argument("what", choices=("supports", "facts", "neighbors"))
-    p.add_argument("arg", help="seed ids (supports) or an element id")
-    p.add_argument(
-        "--direction", choices=("outgoing", "incoming", "both"), default="both"
-    )
-    p.set_defaults(func=_cmd_query)
-
-    return parser
+def _dest(arg: tuple) -> str:
+    return arg[0].lstrip("-").replace("-", "_")
 
 
 # --- input loading ------------------------------------------------------------
@@ -241,7 +261,7 @@ def _load_ruleset(ref: str) -> Ruleset:
     return parse_ruleset(_read_text(ref))
 
 
-def _classification(args: argparse.Namespace) -> ClassificationSet:
+def _classification(args: SimpleNamespace) -> ClassificationSet:
     from .classify import apply_review, classify_model, parse_overlay
 
     model = _load_model(args.model)
@@ -252,14 +272,14 @@ def _classification(args: argparse.Namespace) -> ClassificationSet:
     return result
 
 
-def _load_register(args: argparse.Namespace,
+def _load_register(args: SimpleNamespace,
                    classification: ClassificationSet) -> RiskRegister:
     from .register import parse_risk_catalog
 
     return parse_risk_catalog(_read_text(args.register), classification)
 
 
-def _kinds(args: argparse.Namespace, model: EAModel) -> set[str] | None:
+def _kinds(args: SimpleNamespace, model: EAModel) -> set[str] | None:
     """The --supports-kinds set; warns once per kind the model never uses."""
     raw = getattr(args, "supports_kinds", None)
     if raw is None:
@@ -278,18 +298,20 @@ def _kinds(args: argparse.Namespace, model: EAModel) -> set[str] | None:
     return set(kinds)
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.stamp:
+def _emit(text: str, out: str | None = None, stamp: bool = False) -> None:
+    if stamp:
         now = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         text = f"# generated {now}\n{text}"
-    if args.out:
+    if out:
         try:
-            with open(args.out, "w", encoding="utf-8") as handle:
+            with open(out, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
-            raise InputError(f"cannot write {args.out}: {exc.strerror or exc}") from None
+            raise InputError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
         try:
+            if sys.stdout is None:  # its descriptor was closed before start-up
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.write(text)
         except BrokenPipeError:
             raise
@@ -299,22 +321,22 @@ def _emit(args: argparse.Namespace, text: str) -> None:
             ) from None
 
 
-def _report(args: argparse.Namespace, render_text: Callable[..., str],
+def _report(args: SimpleNamespace, render_text: Callable[..., str],
             render_records: Callable[..., str], report: object) -> None:
     """Render a report with the renderer --format picks, then emit it."""
     render = render_records if args.format == "records" else render_text
-    _emit(args, render(report))
+    _emit(render(report), args.out, args.stamp)
 
 
 # --- subcommands ----------------------------------------------------------------
 
 
-def _cmd_import(args: argparse.Namespace) -> int:
-    _emit(args, export_tabular(_load_model(args.model)))
+def _cmd_import(args: SimpleNamespace) -> int:
+    _emit(export_tabular(_load_model(args.model)), args.out, args.stamp)
     return 0
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: SimpleNamespace) -> int:
     from .classify import render_facts_records, render_facts_text
 
     result = _classification(args)
@@ -324,7 +346,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 1 if result.unknown else 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: SimpleNamespace) -> int:
     from .register import validate_register
     from .riskgraph import Severity, render_violations_records, render_violations_text
 
@@ -335,7 +357,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 1 if has_errors else 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: SimpleNamespace) -> int:
     result = _classification(args)
     if args.kind == "unmapped":
         from .classify import render_unmapped_records, render_unmapped_text, unmapped_report
@@ -352,7 +374,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+def _cmd_trace(args: SimpleNamespace) -> int:
     from .analysis import render_trace_records, render_trace_text, trace
 
     result = _classification(args)
@@ -361,7 +383,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_query(args: argparse.Namespace) -> int:
+def _cmd_query(args: SimpleNamespace) -> int:
     result = _classification(args)
     if args.what == "supports":
         from .analysis import (
@@ -394,6 +416,53 @@ def _cmd_query(args: argparse.Namespace) -> int:
     render_text = functools.partial(render_neighbors_text, args.arg)
     _report(args, render_text, render_neighbors_records, pairs)
     return 0
+
+
+# --- command table ----------------------------------------------------------------
+
+_ABOUT = ("Classify architecture models into security risk roles and analyze risk "
+          "traceability.")
+_MODEL = (("--model", "model file (XML or tabular)", True, None, None),)
+_RULESET = (("--ruleset", "builtin ruleset id (%s) or a ruleset file path"
+             % ", ".join(FRAMEWORKS), True, None, None),)
+_OVERLAY = (("--overlay", "review overlay file", False, None, None),)
+_REGISTER = (("--register", "risk catalog file", True, None, None),)
+_KINDS = (("--supports-kinds", "comma-separated relationship kinds the supports "
+           "walk may use (default: all)", False, None, None),)
+_OUT = (
+    ("--out", "output file (default: stdout)", False, None, None),
+    ("--format", "output format", False, ("text", "records"), "text"),
+    ("--stamp", "prepend a generation timestamp", False, None, False),
+)
+_CLASSIFIED = _MODEL + _RULESET + _OVERLAY
+# Each command's handler, help and arguments, in argparse's order, which
+# orders the lists in "required" and "ambiguous option" errors.
+_COMMANDS = {
+    "import": (_cmd_import, "parse a model and write its tabular form", _MODEL + _OUT),
+    "classify": (_cmd_classify, "classify model elements into risk roles",
+                 _CLASSIFIED + _OUT),
+    "review": (_cmd_classify, "classify, then apply a review overlay",
+               _MODEL + _RULESET + _OUT
+               + (("--overlay", "review overlay file", True, None, None),)),
+    "validate": (_cmd_validate, "check a risk register against the structural rules",
+                 _CLASSIFIED + _REGISTER + _OUT),
+    "report": (_cmd_report, "summary reports over a classified model",
+               _CLASSIFIED + _OUT + (
+                   ("kind", None, True, ("unmapped", "coverage"), None),
+                   ("--register", "risk catalog file (required for coverage)",
+                    False, None, None))),
+    "trace": (_cmd_trace, "expand one risk into its traceability tree",
+              _CLASSIFIED + _REGISTER + _KINDS + _OUT
+              + (("risk_id", None, True, None, None),)),
+    "query": (_cmd_query, "point queries: supports, facts, neighbors",
+              _CLASSIFIED + _KINDS + _OUT + (
+                  ("what", None, True, ("supports", "facts", "neighbors"), None),
+                  ("arg", "seed ids (supports) or an element id", True, None, None),
+                  ("--direction", None, False, ("outgoing", "incoming", "both"),
+                   "both"))),
+}
+_COMMAND = ("command", None, True, tuple(_COMMANDS), None)
+_TOP = (None, _ABOUT, (_COMMAND,))
 
 
 if __name__ == "__main__":

@@ -1072,6 +1072,19 @@ class TestInstalledEntryPoint:
         assert "usage:" in child.stderr
         assert "Traceback" not in child.stderr
 
+    def test_report_without_a_stdout_descriptor_exits_two(self, lab):
+        child = self.run_without_descriptor(
+            1, ["import", "--model", lab["model"]], stderr=subprocess.PIPE
+        )
+        assert child.returncode == 2
+        assert child.stderr == "error: cannot write standard output: Bad file descriptor\n"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["review", "--help"]])
+    def test_help_without_a_stdout_descriptor_exits_two(self, argv):
+        child = self.run_without_descriptor(1, argv, stderr=subprocess.PIPE)
+        assert child.returncode == 2
+        assert child.stderr == "error: cannot write standard output: Bad file descriptor\n"
+
     def test_report_without_a_stderr_descriptor(self, lab, fixtures_dir):
         child = self.run_without_descriptor(
             2, ["import", "--model", lab["model"]], stdout=subprocess.PIPE

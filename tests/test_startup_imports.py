@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -197,3 +198,36 @@ def test_no_command_loads_dataclasses_or_inspect(tmp_path):
     )
     for modules in loaded:
         assert not modules & heavy
+
+
+def test_no_call_loads_argparse_gettext_or_locale():
+    golden = [FIXTURES / "cli_golden.json", FIXTURES / "cli_golden_escaped.json"]
+    argvs = [
+        [arg.replace("{fixtures}", str(FIXTURES)) for arg in case["argv"]]
+        for path in golden for case in json.loads(path.read_text("utf-8")).values()
+    ]
+    usage = [["classify", "--model", "m"], ["--help"], ["review", "--help"]]
+    code = (
+        "import contextlib, io, sys\nbare = set(sys.modules)\n"
+        "from riskalign import cli\n"
+        "def run(argvs):\n"
+        "    codes = []\n"
+        "    for argv in argvs:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "            try:\n"
+        "                codes.append(cli.main(argv))\n"
+        "            except SystemExit as exc:\n"
+        "                codes.append(exc.code)\n"
+        "    return codes, sorted(set(sys.modules) - bare)\n"
+        f"print(repr([run({argvs!r}), run({usage!r})]))"
+    )
+    golden_run, usage_run = ast.literal_eval(run_child(code))
+    (codes, after_golden), (usage_codes, after_usage) = golden_run, usage_run
+    assert len(codes) == len(argvs) > 180
+    assert set(codes) == {0, 1, 2}
+    assert usage_codes == [2, 0, 0]
+    assert "riskalign.archimate_xml" in after_golden
+    assert "riskalign.usage" not in after_golden  # only help and usage errors load it
+    assert "riskalign.usage" in after_usage
+    assert not set(after_usage) & {"argparse", "gettext", "locale"}
