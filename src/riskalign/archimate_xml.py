@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 from .eamodel import EAElement, EAModel, EARelationship, normalize_name
 from .errors import ModelFormatError
@@ -92,10 +92,9 @@ def _record(
     record_tag: str,
     local: dict[str, str],
     kinds: dict[str, str],
-    notes: dict[int, list[str]],
-) -> EAElement | EARelationship:
-    """The record of a closed element or relationship node. An element's
-    warnings go to notes, under the id of its record."""
+) -> tuple[EAElement | EARelationship, Sequence[str]]:
+    """The record of a closed element or relationship node, with the
+    warnings it raises."""
     rec_id = _id_attr(node, "identifier", "id")
     if not rec_id:
         raise ModelFormatError(f"{record_tag} without an identifier attribute")
@@ -110,7 +109,7 @@ def _record(
             end = "target" if src else "source"
             raise ModelFormatError(f"relationship {rec_id!r} has no {end}")
         kind = kinds.get(token) or kinds.setdefault(token, _relationship_kind(token))
-        return EARelationship(rec_id, kind, src, dst)
+        return EARelationship(rec_id, kind, src, dst), ()
     warnings: list[str] = []
     concept_name = ELEMENT_TOKENS.get(token)
     if concept_name is None:
@@ -130,10 +129,7 @@ def _record(
                                     f"{key!r}; the last value is kept")
                 attrs[key] = _one_line(prop.get("value") or "")
     attrs.pop("", None)
-    record = EAElement(rec_id, concept_name, name or "", attrs)
-    if warnings:
-        notes[id(record)] = warnings
-    return record
+    return EAElement(rec_id, concept_name, name or "", attrs), warnings
 
 
 def _end_events(text: str) -> Iterator[tuple[str, ET.Element]]:
@@ -170,8 +166,7 @@ def import_archimate(data: str | bytes, source: str = "") -> EAModel:
             ) from None
     local: dict[str, str] = {}  # tag -> local name
     kinds: dict[str, str] = {}  # relationship type token -> kind
-    notes: dict[int, list[str]] = {}  # id of an element record -> warnings
-    # record tag -> closed node -> its record, or the error it raises
+    # record tag -> closed node -> its record and warnings, or the error it raises
     pending: dict[str, dict] = {"element": {}, "relationship": {}}
     blocks: list[tuple[str, list]] = []  # (record tag, kept records), pre-order
     # closed node -> index of the first block kept inside it, which is where
@@ -195,7 +190,7 @@ def import_archimate(data: str | bytes, source: str = "") -> EAModel:
                 del node[:]
             else:
                 try:
-                    pending[name][node] = _record(node, name, local, kinds, notes)
+                    pending[name][node] = _record(node, name, local, kinds)
                 except ModelFormatError as exc:
                     pending[name][node] = exc
                 node.clear()
@@ -212,10 +207,13 @@ def import_archimate(data: str | bytes, source: str = "") -> EAModel:
     for record_tag, kept in blocks:
         records[record_tag] += kept
     elements, relationships = records["element"], records["relationship"]
-    for record in elements + relationships:
-        if isinstance(record, ModelFormatError):
-            raise record
-    warnings = [w for element in elements for w in notes.get(id(element), ())]
+    for entry in elements + relationships:
+        if isinstance(entry, ModelFormatError):
+            raise entry
     return EAModel(
-        "archimate21", elements, relationships, source=source, warnings=warnings
+        "archimate21",
+        [element for element, _ in elements],
+        [relationship for relationship, _ in relationships],
+        source=source,
+        warnings=[warning for _, warnings in elements for warning in warnings],
     )

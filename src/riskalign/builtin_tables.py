@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .eamodel import check_framework
+from .eamodel import FRAMEWORKS, check_framework
 from .mappings import Ruleset, parse_ruleset
 
 ARCHIMATE21 = """\
@@ -189,12 +189,8 @@ quality standards, rules and guidelines|Quality aspects of architecture|Security
 service level agreement (sla)|Quality aspects of architecture|Control|specification||
 """
 
-_TABLES = {
-    "archimate21": ARCHIMATE21,
-    "togaf91": TOGAF91,
-    "dodaf202": DODAF202,
-    "iaf": IAF,
-}
+# One table text per framework id, in FRAMEWORKS order.
+_TABLES = dict(zip(FRAMEWORKS, (ARCHIMATE21, TOGAF91, DODAF202, IAF), strict=True))
 
 
 @lru_cache(maxsize=None)

@@ -59,7 +59,7 @@ def main(argv: list[str] | None = None) -> int:
         gc.disable()
         return args.func(args)
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return 2
     except BrokenPipeError:
         return 0
@@ -89,8 +89,7 @@ def run() -> NoReturn:
     except BrokenPipeError:
         code = 0
     except OSError as exc:
-        print(f"error: cannot write standard output: {exc.strerror or exc}",
-              file=sys.stderr)
+        _note(f"error: cannot write standard output: {exc.strerror or exc}")
         code = 2
     try:
         if sys.stderr is not None:
@@ -98,6 +97,15 @@ def run() -> NoReturn:
     except OSError:
         pass  # there is nowhere left to report it
     os._exit(code)
+
+
+def _note(line: str) -> None:
+    """Write one diagnostic line to stderr. print would fall back to stdout
+    when stderr is None, so the line would land in the report."""
+    try:
+        sys.stderr.write(line + "\n")
+    except (AttributeError, OSError):
+        pass  # stderr was closed before start-up, or cannot be written
 
 
 # --- command line ----------------------------------------------------------------
@@ -207,10 +215,7 @@ def _usage_exit(name: str, message: str | None = None) -> NoReturn:
     if message is None:
         _emit(text)
         raise SystemExit(0)
-    try:
-        sys.stderr.write(text)
-    except (AttributeError, OSError):
-        pass  # stderr was closed before start-up, or cannot be written
+    _note(text.removesuffix("\n"))
     raise SystemExit(2)
 
 
@@ -247,7 +252,7 @@ def _load_model(path: str) -> EAModel:
     else:
         model = parse_tabular(text, source=path)
     for warning in model.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+        _note(f"warning: {warning}")
     return model
 
 
@@ -290,11 +295,8 @@ def _kinds(args: SimpleNamespace, model: EAModel) -> set[str] | None:
     present = {rel.kind for rel in model.relationships}
     for kind in dict.fromkeys(kinds):
         if normalize_name(kind) not in present:
-            print(
-                f"warning: --supports-kinds names {kind!r}, "
-                "which no relationship in the model has",
-                file=sys.stderr,
-            )
+            _note(f"warning: --supports-kinds names {kind!r}, "
+                  "which no relationship in the model has")
     return set(kinds)
 
 
@@ -341,7 +343,7 @@ def _cmd_classify(args: SimpleNamespace) -> int:
 
     result = _classification(args)
     for warning in result.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+        _note(f"warning: {warning}")
     _report(args, render_facts_text, render_facts_records, result)
     return 1 if result.unknown else 0
 

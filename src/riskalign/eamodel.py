@@ -171,11 +171,12 @@ def neighbors(
         raise ValueError(f"unknown direction {direction!r}")
     model.element(element_id)  # raises for unknown ids
     out: list[tuple[EARelationship, EAElement]] = []
-    for rel in sorted(model.relationships, key=lambda r: r.id):
+    for rel in model.relationships:
         if direction in ("outgoing", "both") and rel.source == element_id:
             out.append((rel, model.element(rel.target)))
         elif direction in ("incoming", "both") and rel.target == element_id:
             out.append((rel, model.element(rel.source)))
+    out.sort(key=lambda pair: pair[0].id)  # relationship ids are unique
     return out
 
 

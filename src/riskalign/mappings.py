@@ -40,14 +40,7 @@ class MappingKind(enum.Enum):
     NON_STANDARD = "non-standard"
 
 
-_STANDARD_KINDS = {
-    MappingKind.EQUIVALENCE,
-    MappingKind.GENERALISATION,
-    MappingKind.SPECIALISATION,
-    MappingKind.AGGREGATION,
-    MappingKind.COMPOSITION,
-    MappingKind.ASSOCIATION,
-}
+_STANDARD_KINDS = set(MappingKind) - {MappingKind.UNSPECIFIED, MappingKind.NON_STANDARD}
 
 
 class MappingType(NamedTuple):

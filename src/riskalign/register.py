@@ -36,7 +36,8 @@ from .concepts import ASSET_KINDS, ISSRMConcept
 from .eamodel import EAModel
 from .errors import CatalogFormatError, UnknownRiskError
 from .mappings import target_concepts
-from .riskgraph import Entity, Relation, RelationKind, RiskGraph, Violation, validate_structure
+from .riskgraph import PART_OF_RULES, Entity, Relation, RelationKind, RiskGraph
+from .riskgraph import Violation, validate_structure
 from . import recordio
 
 
@@ -378,10 +379,10 @@ def validate_register(register: RiskRegister) -> list[Violation]:
         # neither is bare in the graph, so its two findings are added here.
         # Risks need no such case: their event is always a part.
         if case.threat is None and not case.vulnerabilities:
-            for code, missing in (("EVT_NO_THREAT", "threat"),
-                                  ("EVT_NO_VULN", "vulnerability")):
-                message = f"risk {case.id!r} declares no {missing}"
-                found.add(Violation(code, (case.event_id,), message))
+            for _, whole, word, _, missing_code in PART_OF_RULES:
+                if whole is ISSRMConcept.EVENT:
+                    message = f"risk {case.id!r} declares no {word}"
+                    found.add(Violation(missing_code, (case.event_id,), message))
     for kind, impact_id, element_id in graph.relations:
         if kind is RelationKind.HARMS and not any(
             element_id in classification.definite_elements(concept)

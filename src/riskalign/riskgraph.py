@@ -187,15 +187,26 @@ for _kind, _rule in _ENDPOINT_RULES.items():
     _kind._endpoints = _rule
 del _kind, _rule
 
-# Legal (part concept, whole concept) pairs for part_of.
-PART_OF_PAIRS = (
-    (ISSRMConcept.THREAT, ISSRMConcept.EVENT),
-    (ISSRMConcept.VULNERABILITY, ISSRMConcept.EVENT),
-    (ISSRMConcept.EVENT, ISSRMConcept.RISK),
-    (ISSRMConcept.IMPACT, ISSRMConcept.RISK),
-    (ISSRMConcept.THREAT_AGENT, ISSRMConcept.THREAT),
-    (ISSRMConcept.ATTACK_METHOD, ISSRMConcept.THREAT),
+# The part_of shape, one row per legal (part concept, whole concept) pair:
+# the word findings use for the part, the code for a whole with more than one
+# such part, and the code for a whole that has some valid part but none of
+# this one. None means the rule does not apply to that pair.
+PART_OF_RULES = (
+    (ISSRMConcept.THREAT, ISSRMConcept.EVENT,
+     "threat", "EVT_MULTI_THREAT", "EVT_NO_THREAT"),
+    (ISSRMConcept.VULNERABILITY, ISSRMConcept.EVENT,
+     "vulnerability", None, "EVT_NO_VULN"),
+    (ISSRMConcept.EVENT, ISSRMConcept.RISK,
+     "event", "RISK_MULTI_EVENT", "RISK_NO_EVENT"),
+    (ISSRMConcept.IMPACT, ISSRMConcept.RISK,
+     "impact", None, "RISK_NO_IMPACT"),
+    (ISSRMConcept.THREAT_AGENT, ISSRMConcept.THREAT,
+     "agent", "THR_MULTI_AGENT", None),
+    (ISSRMConcept.ATTACK_METHOD, ISSRMConcept.THREAT,
+     "method", "THR_MULTI_METHOD", None),
 )
+# Legal (part concept, whole concept) pairs for part_of.
+PART_OF_PAIRS = tuple((part, whole) for part, whole, *_ in PART_OF_RULES)
 
 
 class RiskGraph:
@@ -242,8 +253,8 @@ def validate_structure(graph: RiskGraph) -> list[Violation]:
     def emit(code: str, subjects: tuple[str, ...], message: str) -> None:
         found.add(Violation(code, subjects, message))
 
-    # Valid part_of edges feeding each composite, by part concept.
-    parts: dict[str, list[Entity]] = {eid: [] for eid in entities}
+    # The concepts of the valid parts of each composite that has one.
+    parts: dict[str, list[ISSRMConcept]] = {}
     in_event: set[str] = set()  # entities part_of some event
     characterizes: set[str] = set()  # sources of characteristic_of edges
 
@@ -266,7 +277,7 @@ def validate_structure(graph: RiskGraph) -> list[Violation]:
             if dst.concept is ISSRMConcept.EVENT:
                 in_event.add(source)
             if (src.concept, dst.concept) in PART_OF_PAIRS:
-                parts[target].append(src)
+                parts.setdefault(target, []).append(src.concept)
             else:
                 emit(
                     "PART_OF_PAIR",
@@ -297,38 +308,12 @@ def validate_structure(graph: RiskGraph) -> list[Violation]:
                 (ent_id,),
                 "AttributeAnnotation marks rule targets and cannot type an entity",
             )
-        own_parts = parts[ent_id]
-
-        if concept is ISSRMConcept.EVENT:
-            threats = [p for p in own_parts if p.concept is ISSRMConcept.THREAT]
-            vulns = [p for p in own_parts if p.concept is ISSRMConcept.VULNERABILITY]
-            if len(threats) > 1:
-                emit("EVT_MULTI_THREAT", (ent_id,), "event has more than one threat part")
-            if own_parts:
-                if not threats:
-                    emit("EVT_NO_THREAT", (ent_id,), "event has no threat part")
-                if not vulns:
-                    emit("EVT_NO_VULN", (ent_id,), "event has no vulnerability part")
-
-        elif concept is ISSRMConcept.RISK:
-            events = [p for p in own_parts if p.concept is ISSRMConcept.EVENT]
-            impacts = [p for p in own_parts if p.concept is ISSRMConcept.IMPACT]
-            if len(events) > 1:
-                emit("RISK_MULTI_EVENT", (ent_id,), "risk has more than one event part")
-            if own_parts:
-                if not events:
-                    emit("RISK_NO_EVENT", (ent_id,), "risk has no event part")
-                if not impacts:
-                    emit("RISK_NO_IMPACT", (ent_id,), "risk has no impact part")
-
-        elif concept is ISSRMConcept.THREAT:
-            agents = [p for p in own_parts if p.concept is ISSRMConcept.THREAT_AGENT]
-            methods = [p for p in own_parts if p.concept is ISSRMConcept.ATTACK_METHOD]
-            if len(agents) > 1:
-                emit("THR_MULTI_AGENT", (ent_id,), "threat has more than one agent part")
-            if len(methods) > 1:
-                emit("THR_MULTI_METHOD", (ent_id,), "threat has more than one method part")
-            if ent_id in in_event and (not agents or not methods):
+        if concept is ISSRMConcept.THREAT:
+            own_parts = parts.get(ent_id, ())
+            if ent_id in in_event and (
+                ISSRMConcept.THREAT_AGENT not in own_parts
+                or ISSRMConcept.ATTACK_METHOD not in own_parts
+            ):
                 emit(
                     "THR_INCOMPLETE",
                     (ent_id,),
@@ -342,6 +327,21 @@ def validate_structure(graph: RiskGraph) -> list[Violation]:
                     (ent_id,),
                     "vulnerability in an event is not a characteristic of any IS asset",
                 )
+
+    # Only a whole with a valid part is in parts, which gates the existence
+    # rules. list.count compares concepts by identity, without hashing them.
+    for whole_id, part_concepts in parts.items():
+        concept = entities[whole_id].concept
+        for part, whole, word, multi_code, missing_code in PART_OF_RULES:
+            if whole is not concept:
+                continue
+            count = part_concepts.count(part)
+            if count > 1 and multi_code:
+                emit(multi_code, (whole_id,),
+                     f"{concept.value.lower()} has more than one {word} part")
+            if not count and missing_code:
+                emit(missing_code, (whole_id,),
+                     f"{concept.value.lower()} has no {word} part")
 
     return sorted(found, key=Violation.sort_key)
 

@@ -1092,6 +1092,23 @@ class TestInstalledEntryPoint:
         assert child.returncode == 0
         assert child.stdout == (fixtures_dir / "lab_model.tab").read_text()
 
+    def test_input_error_without_a_stderr_descriptor_stays_off_stdout(self):
+        child = self.run_without_descriptor(
+            2, ["import", "--model", "/no/such"], stdout=subprocess.PIPE
+        )
+        assert (child.returncode, child.stdout) == (2, "")
+
+    def test_warnings_without_a_stderr_descriptor_stay_off_stdout(
+        self, capsys, fixtures_dir
+    ):
+        model = str(fixtures_dir / "golden_inputs" / "warn.xml")
+        code, expected, err = run(capsys, "import", "--model", model)
+        assert (code, err.startswith("warning: ")) == (0, True)
+        child = self.run_without_descriptor(
+            2, ["import", "--model", model], stdout=subprocess.PIPE
+        )
+        assert (child.returncode, child.stdout) == (0, expected)
+
     def test_an_unexpected_exception_keeps_its_traceback(self):
         script = (
             "import riskalign.cli as cli\n"

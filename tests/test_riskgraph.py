@@ -1,8 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from riskalign.builtin_tables import builtin_ruleset
+from riskalign.classify import classify_model
 from riskalign.concepts import ISSRMConcept as C
+from riskalign.eamodel import parse_tabular
 from riskalign.errors import DuplicateIdError
+from riskalign.register import parse_risk_catalog, validate_register
 from riskalign.riskgraph import (
     PART_OF_PAIRS,
     Entity,
@@ -216,6 +220,66 @@ def test_risk_with_two_events():
         Relation(K.PART_OF, "i", "r"),
     )
     assert "RISK_MULTI_EVENT" in codes(validate_structure(g))
+
+
+# One case per legal part_of pair: the at-most-one finding and the missing-part
+# finding it gives its whole, each with its exact message, or None.
+CARDINALITY = [
+    (C.THREAT, C.EVENT,
+     ("EVT_MULTI_THREAT", "event has more than one threat part"),
+     ("EVT_NO_THREAT", "event has no threat part")),
+    (C.VULNERABILITY, C.EVENT, None,
+     ("EVT_NO_VULN", "event has no vulnerability part")),
+    (C.EVENT, C.RISK,
+     ("RISK_MULTI_EVENT", "risk has more than one event part"),
+     ("RISK_NO_EVENT", "risk has no event part")),
+    (C.IMPACT, C.RISK, None,
+     ("RISK_NO_IMPACT", "risk has no impact part")),
+    (C.THREAT_AGENT, C.THREAT,
+     ("THR_MULTI_AGENT", "threat has more than one agent part"), None),
+    (C.ATTACK_METHOD, C.THREAT,
+     ("THR_MULTI_METHOD", "threat has more than one method part"), None),
+]
+
+
+def whole_findings(whole, part_concepts):
+    """(code, message) of each finding on a whole "w" with the given parts."""
+    entities = [Entity("w", whole)]
+    relations = []
+    for i, concept in enumerate(part_concepts):
+        entities.append(Entity(f"p{i}", concept))
+        relations.append(Relation(K.PART_OF, f"p{i}", "w"))
+    return [
+        (v.code, v.message)
+        for v in validate_structure(RiskGraph(entities, relations))
+        if v.subjects == ("w",)
+    ]
+
+
+def test_cardinality_cases_cover_every_part_of_pair():
+    assert sorted((p.value, w.value) for p, w, _, _ in CARDINALITY) == sorted(
+        (p.value, w.value) for p, w in PART_OF_PAIRS
+    )
+
+
+@pytest.mark.parametrize("part,whole,multi,missing", CARDINALITY)
+def test_cardinality_findings_and_messages(part, whole, multi, missing):
+    others = [p for p, w in PART_OF_PAIRS if w is whole and p is not part]
+    assert whole_findings(whole, [part, part, *others]) == [multi] * bool(multi)
+    assert whole_findings(whole, others) == [missing] * bool(missing)
+
+
+def test_bare_register_event_findings_name_the_risk():
+    # The event of a risk with no threat and no vulnerability has no part in
+    # the induced graph, so validate_register reports its two gaps itself.
+    model = parse_tabular("FRAMEWORK|togaf91\n")
+    classification = classify_model(builtin_ruleset("togaf91"), model)
+    register = parse_risk_catalog("RISK|r|Bare risk\n", classification)
+    assert [(v.code, v.subjects, v.message) for v in validate_register(register)] == [
+        ("EVT_NO_THREAT", ("r::event",), "risk 'r' declares no threat"),
+        ("EVT_NO_VULN", ("r::event",), "risk 'r' declares no vulnerability"),
+        ("RISK_NO_IMPACT", ("r",), "risk has no impact part"),
+    ]
 
 
 def test_invalid_part_does_not_arm_existence_checks():
