@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .classify import ClassificationSet
 from .concepts import ISSRMConcept
-from .errors import PropagationSeedError, UnknownElementError
+from .errors import PropagationSeedError
 from .eamodel import normalize_name
 from . import recordio
 
@@ -50,11 +50,9 @@ def impact_propagation(
 
     Seeds must exist and be classified definite ISAsset.
     """
-    model = classification.model
     is_assets = classification.definite_elements(ISSRMConcept.IS_ASSET)
     for seed in seeds:
-        if seed not in model:
-            raise UnknownElementError(f"unknown element id {seed!r}")
+        classification.model.element(seed)  # raises for unknown ids
         if seed not in is_assets:
             raise PropagationSeedError(
                 f"seed {seed!r} is not classified as a definite IS asset"

@@ -23,7 +23,6 @@ from .errors import (
     UnknownElementError,
 )
 from .mappings import (
-    AlignmentRule,
     AnnotationTarget,
     AttributeEquals,
     AttributeTarget,
@@ -36,6 +35,7 @@ from .mappings import (
     resolve_rules,
     serialize_target,
     target_concepts,
+    transcription_warning,
 )
 from . import recordio
 
@@ -217,17 +217,17 @@ def _concept_plan(ruleset: Ruleset, concept_name: str) -> _ConceptPlan | None:
     rules = ruleset.rules_for(concept_name)
     if not rules:
         return None
-    steps = tuple(
-        _Step(
-            rule.condition,
-            (rule.target, rule.mapping_type, tier_of(rule.mapping_type, rule.target),
-             rule.framework, rule.row),
-            _rule_warning(rule),
-        )
-        for rule in rules
-        if not isinstance(rule.target, NoTarget)
-    )
-    return _ConceptPlan(steps, any(step.condition is not None for step in steps))
+    steps: list[_Step] = []
+    for rule in rules:
+        if not isinstance(rule.target, NoTarget):
+            tier = tier_of(rule.mapping_type, rule.target)
+            warning = transcription_warning(rule)
+            steps.append(_Step(
+                rule.condition,
+                (rule.target, rule.mapping_type, tier, rule.framework, rule.row),
+                warning and f"{warning}; classified at {tier} tier",
+            ))
+    return _ConceptPlan(tuple(steps), any(step.condition is not None for step in steps))
 
 
 def _steps(plan: _ConceptPlan, element: EAElement) -> tuple[_Step, ...]:
@@ -240,21 +240,6 @@ def _steps(plan: _ConceptPlan, element: EAElement) -> tuple[_Step, ...]:
         for step in plan.steps
         if step.condition is None or step.condition.evaluate(attributes)
     )
-
-
-def _rule_warning(rule: AlignmentRule) -> str:
-    if rule.mapping_type.kind is MappingKind.UNSPECIFIED:
-        return (
-            f"{rule.framework} row {rule.row} ({rule.source}) "
-            "has a blank mapping type; classified at related tier"
-        )
-    if rule.mapping_type.kind is MappingKind.NON_STANDARD:
-        return (
-            f"{rule.framework} row {rule.row} ({rule.source}) "
-            f"uses non-standard mapping type {rule.mapping_type.text!r}; "
-            "classified at candidate tier"
-        )
-    return ""
 
 
 # --- review overlays -----------------------------------------------------------

@@ -2,10 +2,10 @@
 
 Subcommands read a model (exchange XML or tabular text, sniffed by the
 first non-space byte), run one analysis, and write the report to --out or
-standard output. Exit codes: 0 success, 1 when the produced report contains
-ERROR findings or unknown elements, 2 for usage and input errors. A closed
-standard output ends the call with 0 and an unwritable one with 2. Output is
-byte-identical across runs unless --stamp is given.
+standard output. Exit codes: 0 success, 1 when validate reports ERROR
+findings or classify/review meets unknown elements, 2 for usage and input
+errors. A closed standard output ends the call with 0 and an unwritable one
+with 2. Output is byte-identical across runs unless --stamp is given.
 
 run() is the process entry point; main() runs one call in-process.
 
@@ -69,8 +69,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> NoReturn:
-    """Run main on the command line, flush the standard streams and end the
-    process with os._exit.
+    """Run main on the command line, flush stderr and end the process with
+    os._exit. _emit has already flushed the report to stdout.
 
     Once the report is flushed, interpreter teardown would only finalize
     modules and free every model, fact and graph object one at a time, at a
@@ -83,14 +83,6 @@ def run() -> NoReturn:
     except SystemExit as exc:
         code = exc.code  # a usage error or --help exits with an int status
     # A stream is None when its descriptor was closed before start-up.
-    try:
-        if sys.stdout is not None:
-            sys.stdout.flush()
-    except BrokenPipeError:
-        code = 0
-    except OSError as exc:
-        _note(f"error: cannot write standard output: {exc.strerror or exc}")
-        code = 2
     try:
         if sys.stderr is not None:
             sys.stderr.flush()
@@ -271,9 +263,8 @@ def _classification(args: SimpleNamespace) -> ClassificationSet:
 
     model = _load_model(args.model)
     result = classify_model(_load_ruleset(args.ruleset), model)
-    overlay_path = getattr(args, "overlay", None)
-    if overlay_path:
-        result = apply_review(result, parse_overlay(_read_text(overlay_path)))
+    if args.overlay:
+        result = apply_review(result, parse_overlay(_read_text(args.overlay)))
     return result
 
 
@@ -286,10 +277,9 @@ def _load_register(args: SimpleNamespace,
 
 def _kinds(args: SimpleNamespace, model: EAModel) -> set[str] | None:
     """The --supports-kinds set; warns once per kind the model never uses."""
-    raw = getattr(args, "supports_kinds", None)
-    if raw is None:
+    if args.supports_kinds is None:
         return None
-    kinds = recordio.split_list(raw)
+    kinds = recordio.split_list(args.supports_kinds)
     if not kinds:
         raise InputError("--supports-kinds given but names no kinds")
     present = {rel.kind for rel in model.relationships}
@@ -315,6 +305,7 @@ def _emit(text: str, out: str | None = None, stamp: bool = False) -> None:
             if sys.stdout is None:  # its descriptor was closed before start-up
                 raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.write(text)
+            sys.stdout.flush()
         except BrokenPipeError:
             raise
         except OSError as exc:

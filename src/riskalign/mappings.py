@@ -240,6 +240,16 @@ class AlignmentRule(NamedTuple):
     example: str = ""
 
 
+def transcription_warning(rule: AlignmentRule) -> str:
+    """The warning for a rule's blank or non-standard mapping type cell, else ""."""
+    where = f"{rule.framework} row {rule.row} ({rule.source})"
+    if rule.mapping_type.kind is MappingKind.UNSPECIFIED:
+        return f"{where} has a blank mapping type"
+    if rule.mapping_type.kind is MappingKind.NON_STANDARD:
+        return f"{where} uses non-standard mapping type {rule.mapping_type.text!r}"
+    return ""
+
+
 def source_synonyms(source: str) -> tuple[str, ...]:
     """Names under which a rule source is matched.
 
@@ -295,7 +305,6 @@ class Ruleset:
         self.rules = tuple(rules)
         seen: set[tuple[str, str, object]] = set()
         index: dict[str, list[AlignmentRule]] = {}
-        warnings: list[str] = []
         for rule in self.rules:
             if rule.framework != framework:
                 raise RulesetFormatError(
@@ -310,17 +319,8 @@ class Ruleset:
             seen.add(key)
             for name in source_synonyms(rule.source):
                 index.setdefault(name, []).append(rule)
-            if rule.mapping_type.kind is MappingKind.UNSPECIFIED:
-                warnings.append(
-                    f"row {rule.row} ({rule.source}): mapping type cell is blank"
-                )
-            elif rule.mapping_type.kind is MappingKind.NON_STANDARD:
-                warnings.append(
-                    f"row {rule.row} ({rule.source}): non-standard mapping type "
-                    f"{rule.mapping_type.text!r}"
-                )
         self._index = index
-        self.warnings = tuple(warnings)
+        self.warnings = tuple(filter(None, map(transcription_warning, self.rules)))
 
     @property
     def row_count(self) -> int:

@@ -27,9 +27,9 @@ induced_graph derives from a risk.
 
 from __future__ import annotations
 
-from collections.abc import Container
+from collections.abc import Mapping
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, TypeVar
 
 from .classify import ClassificationSet, Tier
 from .concepts import ASSET_KINDS, ISSRMConcept
@@ -39,6 +39,8 @@ from .mappings import target_concepts
 from .riskgraph import PART_OF_RULES, Entity, Relation, RelationKind, RiskGraph
 from .riskgraph import Violation, validate_structure
 from . import recordio
+
+_Record = TypeVar("_Record")
 
 
 class ThreatSpec(NamedTuple):
@@ -162,12 +164,12 @@ def parse_risk_catalog(text: str, classification: ClassificationSet) -> RiskRegi
             )
         declared.add(record_id)
 
-    def elements(ids_field: str, lineno: int, known: Container[str] = model,
+    def elements(ids_field: str, lineno: int,
+                 known: Mapping[str, object] = model.elements,
                  what: str = "element") -> tuple[str, ...]:
         ids = recordio.split_list(ids_field)
         for item_id in ids:
-            if item_id not in known:
-                raise CatalogFormatError(f"unknown {what} id {item_id!r}", lineno)
+            _known(known, what, item_id, lineno)
             if "::" in item_id:
                 raise CatalogFormatError(f"{what} id {item_id!r} contains '::', "
                                          "which is reserved for derived ids", lineno)
@@ -190,7 +192,7 @@ def parse_risk_catalog(text: str, classification: ClassificationSet) -> RiskRegi
             risks[risk_id] = RiskCase(risk_id, name)
         elif tag == "THREAT":
             _, risk_id, agent, method, targets = fields
-            case = _case(risks, risk_id, lineno)
+            case = _known(risks, "risk", risk_id, lineno)
             if case.threat is not None:
                 raise CatalogFormatError(
                     f"risk {risk_id!r} already has a threat", lineno
@@ -202,36 +204,34 @@ def parse_risk_catalog(text: str, classification: ClassificationSet) -> RiskRegi
             )
         elif tag == "VULN":
             _, risk_id, vuln_text, ids_field = fields
-            case = _case(risks, risk_id, lineno)
+            case = _known(risks, "risk", risk_id, lineno)
             case.vulnerabilities.append(
                 VulnerabilitySpec(vuln_text, elements(ids_field, lineno))
             )
         elif tag == "IMPACT":
             _, risk_id, impact_text, harmed, negated = fields
-            case = _case(risks, risk_id, lineno)
+            case = _known(risks, "risk", risk_id, lineno)
             negated_ids = elements(negated, lineno, criteria, "criterion")
             case.impacts.append(
                 ImpactSpec(impact_text, elements(harmed, lineno), negated_ids)
             )
         elif tag == "TREAT":
             _, risk_id, treat_id, treat_text = fields
-            case = _case(risks, risk_id, lineno)
+            case = _known(risks, "risk", risk_id, lineno)
             declare(treat_id, lineno)
             treatments[treat_id] = TreatmentSpec(treat_id, treat_text, [])
             case.treatments.append(treatments[treat_id])
         elif tag == "REQ":
             _, treat_id, req_id, req_text = fields
-            if treat_id not in treatments:
-                raise CatalogFormatError(f"unknown treatment id {treat_id!r}", lineno)
+            treatment = _known(treatments, "treatment", treat_id, lineno)
             declare(req_id, lineno)
             requirements[req_id] = RequirementSpec(req_id, req_text, [])
-            treatments[treat_id].requirements.append(requirements[req_id])
+            treatment.requirements.append(requirements[req_id])
         elif tag == "CTRL":
             _, req_id, ctrl_id, ctrl_text = fields
-            if req_id not in requirements:
-                raise CatalogFormatError(f"unknown requirement id {req_id!r}", lineno)
+            requirement = _known(requirements, "requirement", req_id, lineno)
             declare(ctrl_id, lineno)
-            requirements[req_id].controls.append(ControlSpec(ctrl_id, ctrl_text))
+            requirement.controls.append(ControlSpec(ctrl_id, ctrl_text))
 
     for case in risks.values():
         case.treatments = [
@@ -248,11 +248,13 @@ def parse_risk_catalog(text: str, classification: ClassificationSet) -> RiskRegi
     )
 
 
-def _case(risks: dict[str, RiskCase], risk_id: str, lineno: int) -> RiskCase:
+def _known(records: Mapping[str, _Record], what: str, record_id: str,
+           lineno: int) -> _Record:
+    """The record a line refers to by id; unknown ids raise."""
     try:
-        return risks[risk_id]
+        return records[record_id]
     except KeyError:
-        raise CatalogFormatError(f"unknown risk id {risk_id!r}", lineno) from None
+        raise CatalogFormatError(f"unknown {what} id {record_id!r}", lineno) from None
 
 
 # --- induced graph and validation --------------------------------------------------

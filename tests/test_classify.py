@@ -35,6 +35,7 @@ from riskalign.mappings import (
     ConceptTarget,
     NoTarget,
     non_standard,
+    parse_ruleset,
 )
 
 
@@ -154,6 +155,25 @@ def test_lab_annotation_fact(lab_classification):
 def test_lab_blank_type_warning(lab_classification):
     assert len(lab_classification.warnings) == 1
     assert "sh-privacy-regulator" in lab_classification.warnings[0]
+
+
+@pytest.mark.parametrize("target", ["ISAsset::owner", "@attributes"])
+def test_irregular_type_warnings_name_the_annotation_tier(target):
+    # An attribute-level target classifies at annotation tier whatever its
+    # mapping type, and the warning names the tier the fact got.
+    ruleset = parse_ruleset(
+        "RULESET|iaf|irregular types\n"
+        f"actor|Business Architecture|{target}|||\n"
+        f"sla|Business Architecture|{target}|specification||\n"
+    )
+    model = parse_tabular("FRAMEWORK|iaf\nE|a|actor|Actor|\nE|s|sla|SLA|\n")
+    result = classify_model(ruleset, model)
+    assert [fact.tier for fact in result.facts] == [Tier.ANNOTATION] * 2
+    assert result.warnings == (
+        "a: iaf row 1 (actor) has a blank mapping type; classified at annotation tier",
+        "s: iaf row 2 (sla) uses non-standard mapping type 'specification'; "
+        "classified at annotation tier",
+    )
 
 
 def test_unmapped_and_unknown_partition():

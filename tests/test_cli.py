@@ -1146,17 +1146,30 @@ class _FullDevice:
         pass
 
 
+class _FailingFlush:
+    """A stdout that takes every write and fails when it is flushed."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        raise self.error
+
+
 class TestBrokenPipe:
     def test_closed_stdout_exits_zero_without_stderr(self, capsys, monkeypatch, lab):
-        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
-        code = main(["import", "--model", lab["model"]])
-        assert code == 0
-        assert capsys.readouterr().err == ""
+        for stdout in (_ClosedPipe(), _FailingFlush(BrokenPipeError())):
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = main(["import", "--model", lab["model"]])
+            assert (code, capsys.readouterr().err) == (0, ""), stdout
 
     @pytest.mark.parametrize("buffered", [False, True])
     @pytest.mark.parametrize("size", ["small", "large"])
     def test_closed_stdout_pipe_in_a_subprocess(self, lab, big_model, size, buffered):
-        # A buffered small report first fails in the flush after main returns.
+        # A buffered small report first fails in the flush that ends _emit.
         argv = validate_argv(lab) if size == "small" else ["import", "--model", big_model]
         read_end, write_end = os.pipe()
         os.close(read_end)
@@ -1172,12 +1185,14 @@ class TestBrokenPipe:
 
 class TestUnwritableStdout:
     def test_write_error_is_an_input_error(self, capsys, monkeypatch, lab):
-        monkeypatch.setattr(sys, "stdout", _FullDevice())
-        code = main(["import", "--model", lab["model"]])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: cannot write standard output: No space left on device\n"
-        )
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        for stdout in (_FullDevice(), _FailingFlush(full)):
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = main(["import", "--model", lab["model"]])
+            assert code == 2, stdout
+            assert capsys.readouterr().err == (
+                "error: cannot write standard output: No space left on device\n"
+            )
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("buffered", [False, True])
@@ -1185,7 +1200,8 @@ class TestUnwritableStdout:
     def test_full_device_exits_two_with_one_error_line(
         self, lab, big_model, size, buffered
     ):
-        # Small reports fit the 8 KiB buffer, large ones fail inside main.
+        # Small reports fit the 8 KiB buffer and fail in _emit's flush, large
+        # ones in its write.
         model = lab["model"] if size == "small" else big_model
         with open("/dev/full", "w") as full:
             child = subprocess.run(

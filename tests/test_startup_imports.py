@@ -56,7 +56,7 @@ EXPORTS = {
         "validate_structure",
     ],
 }
-SUBMODULES = [*EXPORTS, "cli", "recordio"]
+SUBMODULES = [*EXPORTS, "cli", "recordio", "usage"]
 
 STEPS_CHILD = """\
 import sys
