@@ -170,6 +170,7 @@ def classify_model(ruleset: Ruleset, model: EAModel) -> ClassificationSet:
     warnings: list[str] = []
     plans: dict[str, _ConceptPlan | None] = {}
     index = model.elements
+    new = tuple.__new__  # facts without their Python-level __new__
     for elem_id in sorted(index):
         element = index[elem_id]
         try:
@@ -185,7 +186,7 @@ def classify_model(ruleset: Ruleset, model: EAModel) -> ClassificationSet:
         if not steps:
             unmapped.append(elem_id)
         for step in steps:
-            facts.append(ClassificationFact(elem_id, *step.fact))
+            facts.append(new(ClassificationFact, (elem_id, *step.fact)))
             if step.warning:
                 warnings.append(f"{elem_id}: {step.warning}")
     return ClassificationSet(
@@ -202,7 +203,7 @@ class _Step(NamedTuple):
     """One target-naming rule of a concept, resolved for classification."""
 
     condition: AttributeEquals | None
-    fact: tuple[TargetSpec, MappingType, Tier, str, int]  # fact fields after the id
+    fact: tuple[TargetSpec, MappingType, Tier, str, int, bool]  # fields after the id
     warning: str  # the warning text after "<element id>: ", or ""
 
 
@@ -224,7 +225,7 @@ def _concept_plan(ruleset: Ruleset, concept_name: str) -> _ConceptPlan | None:
             warning = transcription_warning(rule)
             steps.append(_Step(
                 rule.condition,
-                (rule.target, rule.mapping_type, tier, rule.framework, rule.row),
+                (rule.target, rule.mapping_type, tier, rule.framework, rule.row, False),
                 warning and f"{warning}; classified at {tier} tier",
             ))
     return _ConceptPlan(tuple(steps), any(step.condition is not None for step in steps))
@@ -411,18 +412,26 @@ def render_unmapped_records(entries: list[UnmappedEntry]) -> str:
     )
 
 
+def _fact_cells(facts: tuple[ClassificationFact, ...]) -> list[tuple[str, str, str]]:
+    """The target, mapping type and tier texts of each fact. Facts share few
+    distinct (target, mapping type, tier) cells, and each is rendered once."""
+    rendered: dict[tuple[TargetSpec, MappingType, Tier], tuple[str, str, str]] = {}
+    cells = []
+    for fact in facts:
+        key = (fact.target, fact.mapping_type, fact.tier)
+        cell = rendered.get(key)
+        if cell is None:
+            cell = rendered[key] = (serialize_target(key[0]), str(key[1]), str(key[2]))
+        cells.append(cell)
+    return cells
+
+
 def render_facts_records(classification: ClassificationSet) -> str:
     """Record-format report: F lines, then U lines, then X lines."""
+    facts = classification.facts
     rows: list[tuple[str, ...]] = [
-        (
-            "F",
-            fact.element_id,
-            serialize_target(fact.target),
-            str(fact.mapping_type),
-            str(fact.tier),
-            fact.provenance,
-        )
-        for fact in classification.facts
+        ("F", fact.element_id, *cell, fact.provenance)
+        for fact, cell in zip(facts, _fact_cells(facts))
     ]
     rows.extend(
         ("U", entry.element_id, entry.reason)
@@ -434,14 +443,13 @@ def render_facts_records(classification: ClassificationSet) -> str:
 
 def render_facts_text(classification: ClassificationSet) -> str:
     """Human-readable report, one line per fact."""
-    lines = [f"facts: {len(classification.facts)}"]
-    for fact in classification.facts:
-        element = classification.model.element(fact.element_id)
-        mapping = str(fact.mapping_type) or "unspecified"
+    facts, index = classification.facts, classification.model.elements
+    lines = [f"facts: {len(facts)}"]
+    for fact, (target, mapping, tier) in zip(facts, _fact_cells(facts)):
         suffix = ", confirmed" if fact.confirmed else ""
         lines.append(
-            f"  {fact.element_id} ({element.name}) -> "
-            f"{serialize_target(fact.target)} [{mapping}, {fact.tier}{suffix}] "
+            f"  {fact.element_id} ({index[fact.element_id].name}) -> "
+            f"{target} [{mapping or 'unspecified'}, {tier}{suffix}] "
             f"{fact.provenance}"
         )
     lines.append(f"unmapped: {len(classification.unmapped)}")
@@ -450,6 +458,6 @@ def render_facts_text(classification: ClassificationSet) -> str:
         lines.append(f"  {entry.element_id} ({entry.name}){reason}")
     lines.append(f"unknown: {len(classification.unknown)}")
     for elem_id in classification.unknown:
-        element = classification.model.element(elem_id)
+        element = index[elem_id]
         lines.append(f"  {elem_id} ({element.name}) concept {element.concept_name!r}")
     return "\n".join(lines) + "\n"

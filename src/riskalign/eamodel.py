@@ -236,7 +236,7 @@ def parse_tabular(text: str, source: str = "") -> EAModel:
             if concept is None:
                 concept = normalized[concept_name] = normalize_name(concept_name)
             # field unescaping strips one level, leaving attr escapes intact
-            attrs = recordio.parse_attrs(attr_field, lineno)
+            attrs = recordio.parse_attrs(attr_field, lineno) if attr_field else {}
             elements[elem_id] = new(EAElement, (elem_id, concept, name, attrs))
         elif tag == "R":
             if len(fields) != 5:
@@ -249,11 +249,9 @@ def parse_tabular(text: str, source: str = "") -> EAModel:
             if rel_id in rel_ids:
                 raise ModelFormatError(f"duplicate relationship id {rel_id!r}", lineno)
             rel_ids.add(rel_id)
-            for endpoint in (src, dst):
-                if endpoint not in elements:
-                    raise ModelFormatError(
-                        f"unknown endpoint {endpoint!r}", lineno
-                    )
+            if src not in elements or dst not in elements:
+                endpoint = src if src not in elements else dst
+                raise ModelFormatError(f"unknown endpoint {endpoint!r}", lineno)
             norm_kind = normalized.get(kind)
             if norm_kind is None:
                 norm_kind = normalized[kind] = normalize_name(kind)

@@ -99,14 +99,14 @@ def iter_records(text: str) -> Iterator[tuple[int, list[str]]]:
     files parse. Blank lines and lines starting with "#" are skipped. Line
     numbers are 1-based over the full text, comments included.
     """
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    for lineno, line in enumerate(lines, start=1):
-        line = line.removesuffix("\r")
-        if not line.strip() or line.startswith("#"):
-            continue
-        yield lineno, _split_line(line)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").removesuffix("\r")  # each line's last "\r"
+    lines = enumerate(text.split("\n"), start=1)
+    if "\\" in text:
+        return ((lineno, _split_line(line)) for lineno, line in lines
+                if line.strip() and line[0] != "#")
+    return ((lineno, line.split("|")) for lineno, line in lines
+            if line.strip() and line[0] != "#")
 
 
 def format_attrs(attrs: dict[str, str]) -> str:

@@ -29,16 +29,17 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import cached_property
-from typing import NamedTuple, TypeVar
+from typing import TYPE_CHECKING, NamedTuple, TypeVar
 
 from .classify import ClassificationSet, Tier
 from .concepts import ASSET_KINDS, ISSRMConcept
 from .eamodel import EAModel
 from .errors import CatalogFormatError, UnknownRiskError
 from .mappings import target_concepts
-from .riskgraph import PART_OF_RULES, Entity, Relation, RelationKind, RiskGraph
-from .riskgraph import Violation, validate_structure
 from . import recordio
+
+if TYPE_CHECKING:  # riskgraph loads only where a graph is built or validated
+    from .riskgraph import RiskGraph, Violation
 
 _Record = TypeVar("_Record")
 
@@ -289,6 +290,8 @@ def induced_graph(register: RiskRegister) -> RiskGraph:
     induced; criterion bindings are checked against the classification
     directly by validate_register.
     """
+    from .riskgraph import Entity, Relation, RelationKind, RiskGraph
+
     classification = register.classification
     entities: dict[str, Entity] = {}
     relations: list[Relation] = []
@@ -371,6 +374,8 @@ def induced_graph(register: RiskRegister) -> RiskGraph:
 
 def validate_register(register: RiskRegister) -> list[Violation]:
     """Structural findings for a register: graph rules plus binding checks."""
+    from .riskgraph import PART_OF_RULES, RelationKind, Violation, validate_structure
+
     classification = register.classification
     graph = induced_graph(register)
     found = set(validate_structure(graph))
@@ -410,6 +415,8 @@ def _criterion_binding(
     classification: ClassificationSet, crit_id: str, element_id: str
 ) -> list[Violation]:
     """A criterion may only constrain confirmed business assets."""
+    from .riskgraph import Violation
+
     if element_id in classification.definite_elements(ISSRMConcept.BUSINESS_ASSET):
         return []
     asset_tiers = {

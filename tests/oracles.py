@@ -16,7 +16,9 @@ record readers that stepped through each escaped line one character at a
 time live on as unescape_by_char, split_escaped_by_char and the readers
 built on them, and the writer that escaped each field on its own as
 join_record_per_field; parse_tabular_checked_twice and
-export_tabular_per_field read and write through them.
+export_tabular_per_field read and write through them. The facts reports
+that rendered every fact's target, mapping type and tier afresh live on as
+render_facts_records_per_fact and render_facts_text_per_fact.
 """
 
 import argparse
@@ -38,6 +40,7 @@ from riskalign.classify import (
     apply_review,
     classify_model,
     tier_of,
+    unmapped_report,
 )
 from riskalign.cli import (
     _cmd_classify,
@@ -73,6 +76,7 @@ from riskalign.mappings import (
     NoTarget,
     Ruleset,
     resolve_rules,
+    serialize_target,
     target_concepts,
 )
 from riskalign.register import (
@@ -1249,3 +1253,50 @@ def build_parser_argparse() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_query)
 
     return parser
+
+
+# --- the facts reports that rendered each fact's cells afresh ----------------------
+
+
+def render_facts_records_per_fact(classification: ClassificationSet) -> str:
+    """Record-format report: F lines, then U lines, then X lines."""
+    rows: list[tuple[str, ...]] = [
+        (
+            "F",
+            fact.element_id,
+            serialize_target(fact.target),
+            str(fact.mapping_type),
+            str(fact.tier),
+            fact.provenance,
+        )
+        for fact in classification.facts
+    ]
+    rows.extend(
+        ("U", entry.element_id, entry.reason)
+        for entry in unmapped_report(classification)
+    )
+    rows.extend(("X", elem_id) for elem_id in classification.unknown)
+    return recordio.join_records(rows)
+
+
+def render_facts_text_per_fact(classification: ClassificationSet) -> str:
+    """Human-readable report, one line per fact."""
+    lines = [f"facts: {len(classification.facts)}"]
+    for fact in classification.facts:
+        element = classification.model.element(fact.element_id)
+        mapping = str(fact.mapping_type) or "unspecified"
+        suffix = ", confirmed" if fact.confirmed else ""
+        lines.append(
+            f"  {fact.element_id} ({element.name}) -> "
+            f"{serialize_target(fact.target)} [{mapping}, {fact.tier}{suffix}] "
+            f"{fact.provenance}"
+        )
+    lines.append(f"unmapped: {len(classification.unmapped)}")
+    for entry in unmapped_report(classification):
+        reason = f": {entry.reason}" if entry.reason else ""
+        lines.append(f"  {entry.element_id} ({entry.name}){reason}")
+    lines.append(f"unknown: {len(classification.unknown)}")
+    for elem_id in classification.unknown:
+        element = classification.model.element(elem_id)
+        lines.append(f"  {elem_id} ({element.name}) concept {element.concept_name!r}")
+    return "\n".join(lines) + "\n"

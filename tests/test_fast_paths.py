@@ -10,7 +10,11 @@ absent or another value, and elements built through EAModel whose concept
 names are not normalized. parse_tabular normalizes each token once and
 checks ids and endpoints once; it must give the same model, or the same
 error type, message and line, as oracles.parse_tabular_checked_twice on
-seeded texts with one injected defect each.
+seeded texts with one injected defect each. The facts reports render each
+distinct (target, mapping type, tier) cell once; they must give the same
+bytes as oracles.render_facts_text_per_fact and
+oracles.render_facts_records_per_fact on classified, reviewed and one-element
+query sets, and on a ruleset with every target and mapping-type form.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from riskalign.classify import (
     Tier,
     classify_element,
     classify_model,
+    render_facts_records,
+    render_facts_text,
 )
 from riskalign.concepts import ISSRMConcept
 from riskalign.cli import main
@@ -38,6 +44,7 @@ from riskalign.errors import (
     InputError,
     ModelFormatError,
     ModelStructureError,
+    ReviewError,
 )
 from riskalign.mappings import ConceptTarget, parse_ruleset, source_synonyms
 
@@ -179,6 +186,91 @@ def test_reviewed_index_equals_one_rebuilt_from_the_facts():
         )
         emptied += len(raw._facts_by_element) - len(reviewed._facts_by_element)
     assert emptied > 0
+
+
+# --- facts reports ----------------------------------------------------------------
+
+# Each target form (concept, composite, attribute and @attributes) with a
+# blank, a non-standard and a standard mapping type, one source concept each.
+CELL_TARGETS = (
+    "BusinessAsset", "ISAsset+BusinessAsset", "ISAsset::owner", "@attributes",
+)
+CELL_RULESET = "RULESET|archimate21|every target and mapping-type form\n" + "".join(
+    f"{target} {i}|s|{target}|{mapping}||\n"
+    for target in CELL_TARGETS
+    for i, mapping in enumerate(("", "mapsTo", "generalisation"))
+)
+
+
+def _query_facts(result: ClassificationSet, element_id: str) -> ClassificationSet:
+    """The one-element set query facts renders, built as cli._cmd_query does."""
+    return ClassificationSet(
+        model=result.model,
+        ruleset=result.ruleset,
+        facts=result.facts_for(element_id),
+        unmapped=tuple(e for e in result.unmapped if e == element_id),
+        unknown=tuple(e for e in result.unknown if e == element_id),
+        warnings=(),
+    )
+
+
+def _same_reports(result: ClassificationSet) -> None:
+    for subset in (result, *(_query_facts(result, e) for e in result.model.elements)):
+        assert render_facts_text(subset) == oracles.render_facts_text_per_fact(subset)
+        assert render_facts_records(subset) == oracles.render_facts_records_per_fact(
+            subset
+        )
+
+
+def _reviewed(rng: random.Random, result: ClassificationSet) -> ClassificationSet:
+    """result with each verdict of a random overlay that applies on its own."""
+    for entry in oracles.random_overlay(rng, result).entries:
+        try:
+            result = apply_review(result, ReviewOverlay((entry,)))
+        except ReviewError:
+            pass
+    return result
+
+
+@pytest.mark.parametrize("framework", FRAMEWORKS)
+def test_facts_reports_match_per_fact_references(framework):
+    ruleset = builtin_ruleset(framework)
+    confirmed = refined = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        model = oracles.random_model(rng, max_elements=25, framework=framework)
+        classified = classify_model(ruleset, model)
+        reviewed = _reviewed(rng, classified)
+        _same_reports(classified)
+        _same_reports(reviewed)
+        for fact in reviewed.facts:
+            if fact.confirmed:
+                confirmed += 1
+                targets = {f.target for f in classified.facts_for(fact.element_id)}
+                refined += fact.target not in targets
+    # togaf91's concepts give no candidate fact, and iaf's no definite Asset.
+    assert confirmed > 0 or framework == "togaf91"
+    assert refined > 0 or framework in ("togaf91", "iaf")
+
+
+def test_facts_reports_match_references_on_every_cell_form():
+    ruleset = parse_ruleset(CELL_RULESET)
+    model = parse_tabular("FRAMEWORK|archimate21\n" + "".join(
+        f"E|{rule.row}-{copy}|{rule.source}|element {rule.row}-{copy}|\n"
+        for rule in ruleset.rules
+        for copy in range(2)
+    ) + "E|w|wormhole|Wormhole|\n")
+    classified = classify_model(ruleset, model)
+    reviewed = apply_review(classified, ReviewOverlay((
+        ReviewEntry("2-0", ISSRMConcept.BUSINESS_ASSET, "confirm"),
+        ReviewEntry("3-1", ISSRMConcept.BUSINESS_ASSET, "reject"),
+    )))
+    assert len(classified.facts) == 24 and classified.unknown == ("w",)
+    _same_reports(classified)
+    _same_reports(reviewed)
+    assert "2-0 (element 2-0) -> BusinessAsset [mapsTo, definite, confirmed]" in (
+        render_facts_text(reviewed)
+    )
 
 
 # --- tabular parsing --------------------------------------------------------------

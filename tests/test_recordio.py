@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from riskalign import recordio
 from riskalign.errors import LineError
 
-from .oracles import split_escaped_by_char
+from .oracles import iter_records_by_char, split_escaped_by_char
 
 # Single-line text; the container format reserves newlines as record breaks.
 field_text = st.text(
@@ -112,6 +112,31 @@ def test_iter_records_skips_blanks_and_comments():
 def test_iter_records_line_numbers_are_one_based():
     records = list(recordio.iter_records("X|y"))
     assert records == [(1, ["X", "y"])]
+
+
+@pytest.mark.parametrize("text", [
+    "# a path: C:\\models\\lab\nA|1|x\nB||\n",
+    "A|1\n# an escaped \\| pipe and a trailing \\\nB|2|\n",
+    "# a CRLF comment\r\nA|1\nB|2|y",
+    "A|1\n\r\nB|2\n \r \n",
+    "A|1\n# a\rb\nB|2\n# the end\r",
+    "# \\ and \r\r\n|A||1|\n\r\n\t\r\nB\n",
+])
+def test_whole_text_checks_leave_plain_records_alone(text):
+    # The text holds a "\r" or a backslash only in a comment or a blank line,
+    # so every record splits as a plain line would.
+    records = list(recordio.iter_records(text))
+    assert records == list(iter_records_by_char(text))
+    fields = [field for _, record in records for field in record]
+    assert fields and not any("\\" in field or "\r" in field for field in fields)
+
+
+@pytest.mark.parametrize("text", ["A|1\nB|2\n", "A|\\|\nB|2", "A|1\r\nB|2\r\n"],
+                         ids=["plain", "escaped", "crlf"])
+def test_iter_records_is_a_lazy_iterator(text):
+    records = recordio.iter_records(text)
+    assert iter(records) is records
+    assert next(records)[0] == 1
 
 
 def test_join_record_rejects_newline():

@@ -138,6 +138,24 @@ def test_validate_loads_no_analysis_and_xml_loads_on_demand(tmp_path):
     assert {"riskalign.archimate_xml", "xml.etree.ElementTree"} <= loaded[1]
 
 
+@pytest.mark.parametrize("first", ["trace", "report coverage"])
+def test_register_reads_load_riskgraph_only_to_validate(tmp_path, first):
+    # trace and report coverage read a register but build no risk graph, so
+    # only validate loads the graph validator.
+    reads = {
+        "trace": ["trace", "r1", *LAB, "--register", REGISTER],
+        "report coverage": ["report", "coverage", *LAB, "--register", REGISTER],
+    }
+    second = next(name for name in reads if name != first)
+    validate = ["validate", *LAB, "--register", REGISTER]
+    alone, both, validated = loaded_after_each(
+        tmp_path, reads[first], reads[second], validate
+    )
+    assert {"riskalign.register", "riskalign.analysis"} <= alone
+    assert "riskalign.riskgraph" not in both
+    assert "riskalign.riskgraph" in validated
+
+
 def test_import_riskalign_loads_no_submodule():
     code = "import sys, riskalign\nprint(sorted(sys.modules))"
     modules = ast.literal_eval(run_child(code))
