@@ -20,9 +20,9 @@ CTRL records, and a criterion any IMPACT that negates it.
     REQ|<treatment>|<id>|<text>
     CTRL|<requirement>|<id>|<text>
 
-Id lists are comma separated and may be empty. Neither declared ids nor
-the element ids a record binds may contain "::", which names the entities
-induced_graph derives from a risk.
+Id lists are comma separated and may be empty, so a declared id may not
+contain ",". Neither declared ids nor the element ids a record binds may
+contain "::", which names the entities induced_graph derives from a risk.
 """
 
 from __future__ import annotations
@@ -154,11 +154,11 @@ def parse_risk_catalog(text: str, classification: ClassificationSet) -> RiskRegi
             raise CatalogFormatError("record with empty id", lineno)
         if record_id in declared:
             raise CatalogFormatError(f"duplicate id {record_id!r}", lineno)
-        if "::" in record_id:
-            raise CatalogFormatError(
-                f"id {record_id!r} contains '::', which is reserved for derived ids",
-                lineno,
-            )
+        for mark, role in (("::", "is reserved for derived ids"),
+                           (",", "separates the ids of a list")):
+            if mark in record_id:
+                raise CatalogFormatError(
+                    f"id {record_id!r} contains {mark!r}, which {role}", lineno)
         if record_id in model:
             raise CatalogFormatError(
                 f"id {record_id!r} collides with a model element id", lineno
@@ -373,36 +373,75 @@ def induced_graph(register: RiskRegister) -> RiskGraph:
 
 
 def validate_register(register: RiskRegister) -> list[Violation]:
-    """Structural findings for a register: graph rules plus binding checks."""
-    from .riskgraph import PART_OF_RULES, RelationKind, Violation, validate_structure
+    """Structural findings for a register: graph rules plus binding checks.
 
+    One pass over the records finds what validate_structure finds on
+    induced_graph(register), messages included, without building the graph.
+    """
+    from .riskgraph import PART_OF_RULES, RelationKind, Violation, _kinds_label
+
+    # The parser rejects duplicate, '::'-bearing and colliding ids and a second
+    # threat, so REL_ENDPOINT_MISSING, PART_OF_PAIR, ENT_PSEUDO_CONCEPT, the
+    # *_MULTI_* codes, RISK_NO_EVENT and a harms target kind cannot occur.
     classification = register.classification
-    graph = induced_graph(register)
-    found = set(validate_structure(graph))
+    found: set[Violation] = set()
+    concepts: dict[str, ISSRMConcept] = {}  # bound_concept of each element seen
+    # The parts a risk may lack: its event's threat or vulnerability, its impact.
+    missing_rules = [(part, whole, word, code)
+                     for part, whole, word, _, code in PART_OF_RULES
+                     if code and part is not ISSRMConcept.EVENT]
+
+    def check_ends(kind: RelationKind, source: str, element_ids: tuple[str, ...]):
+        """Target-kind findings for kind edges from source to bound elements."""
+        _, target_kinds, code = kind._endpoints
+        for element_id in element_ids:
+            if element_id not in concepts:
+                concepts[element_id] = bound_concept(classification, element_id)
+            concept = concepts[element_id]
+            if concept not in target_kinds:
+                found.add(Violation(code, (kind.value, source, element_id),
+                                    f"{kind} target must be "
+                                    f"{_kinds_label(target_kinds)}, got {concept}"))
 
     for case in register.risks:
-        # The structure gate checks an event's parts only once it has one. An
-        # event with a threat or a vulnerability is checked there; one with
-        # neither is bare in the graph, so its two findings are added here.
-        # Risks need no such case: their event is always a part.
-        if case.threat is None and not case.vulnerabilities:
-            for _, whole, word, _, missing_code in PART_OF_RULES:
-                if whole is ISSRMConcept.EVENT:
-                    message = f"risk {case.id!r} declares no {word}"
-                    found.add(Violation(missing_code, (case.event_id,), message))
-    for kind, impact_id, element_id in graph.relations:
-        if kind is RelationKind.HARMS and not any(
-            element_id in classification.definite_elements(concept)
-            for concept in ASSET_KINDS
-        ):
-            found.add(
-                Violation(
-                    "IMP_HARM_UNCLASSIFIED",
-                    (impact_id, element_id),
-                    f"harmed element {element_id!r} has no definite "
-                    "asset classification",
-                )
-            )
+        threat = case.threat
+        if threat is not None:
+            threat_id = f"{case.id}::threat"
+            check_ends(RelationKind.TARGETS, threat_id, threat.targets)
+            if not (threat.agent and threat.method):
+                found.add(Violation("THR_INCOMPLETE", (threat_id,), "threat in an "
+                                    "event lacks an agent or attack method"))
+        for index, vuln in enumerate(case.vulnerabilities, start=1):
+            vuln_id = f"{case.id}::vuln{index}"
+            check_ends(RelationKind.CHARACTERISTIC_OF, vuln_id, vuln.elements)
+            if not vuln.elements:
+                found.add(Violation("VULN_NO_ISASSET", (vuln_id,), "vulnerability in "
+                                    "an event is not a characteristic of any IS asset"))
+        for index, impact in enumerate(case.impacts, start=1):
+            impact_id = f"{case.id}::impact{index}"
+            for element_id in impact.harmed:
+                if not any(element_id in classification.definite_elements(concept)
+                           for concept in ASSET_KINDS):
+                    found.add(Violation("IMP_HARM_UNCLASSIFIED",
+                                        (impact_id, element_id),
+                                        f"harmed element {element_id!r} has no "
+                                        "definite asset classification"))
+
+        parts = [part for part, declared in (
+            (ISSRMConcept.THREAT, threat is not None),
+            (ISSRMConcept.VULNERABILITY, case.vulnerabilities),
+            (ISSRMConcept.IMPACT, case.impacts),
+        ) if declared]
+        bare = threat is None and not case.vulnerabilities  # an event with no part
+        for part, whole, word, code in missing_rules:
+            if part in parts:
+                continue
+            if whole is ISSRMConcept.RISK:
+                found.add(Violation(code, (case.id,), f"risk has no {word} part"))
+            else:
+                message = (f"risk {case.id!r} declares no {word}" if bare
+                           else f"event has no {word} part")
+                found.add(Violation(code, (case.event_id,), message))
 
     for crit in register.criteria:
         for element_id in crit.constrains:

@@ -11,7 +11,11 @@ the register graph and validation that spelled every risk part and
 derived id inline as induced_graph_inline and validate_register_inline, the
 classifier that resolved every element's rules afresh as
 classify_model_per_element, and the tabular parser whose model constructor
-checked every id and endpoint again as parse_tabular_checked_twice. The
+checked every id and endpoint again as parse_tabular_checked_twice.
+validate_register_inline is the graph-based reference for validate_register,
+which finds the same findings in one pass over the register without a graph:
+it validates the structure of induced_graph_inline, then runs the binding
+checks. The
 record readers that stepped through each escaped line one character at a
 time live on as unescape_by_char, split_escaped_by_char and the readers
 built on them, and the writer that escaped each field on its own as

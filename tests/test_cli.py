@@ -341,6 +341,28 @@ class TestValidate:
             " derived ids\n"
         )
 
+    def test_comma_in_declared_id_is_an_input_error(self, capsys, lab, tmp_path):
+        # Read back from an IMPACT, c,1 would split into the ids c and 1.
+        register = write(
+            tmp_path, "comma.risk", "CRIT|c,1|Name|\nRISK|r1|A\nIMPACT|r1|i||c,1\n"
+        )
+        code, out, err = run(
+            capsys,
+            "validate",
+            "--model",
+            lab["tab"],
+            "--ruleset",
+            "archimate21",
+            "--register",
+            register,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: line 1: id 'c,1' contains ',', which separates the ids of a"
+            " list\n"
+        )
+
     def test_bound_element_id_with_derived_name_is_an_input_error(
         self, capsys, lab, tmp_path
     ):

@@ -172,6 +172,28 @@ def test_declared_ids_may_not_take_derived_names(line):
 
 
 @pytest.mark.parametrize(
+    "line, record_id",
+    [
+        ("CRIT|c,1|Name|", "c,1"),
+        ("RISK|r,2|B", "r,2"),
+        ("TREAT|r1|t,2|text", "t,2"),
+        ("REQ|t1|q,2|text", "q,2"),
+        ("CTRL|q1|k,2|text", "k,2"),
+    ],
+)
+def test_declared_ids_may_not_contain_commas(line, record_id):
+    # Id lists are comma separated, so such an id could not be referred to,
+    # and a finding's subjects field would read as two ids.
+    text = "RISK|r1|A\nTREAT|r1|t1|treat\nREQ|t1|q1|req\n" + line + "\n"
+    with pytest.raises(CatalogFormatError) as exc:
+        parse_risk_catalog(text, classification_of(SMALL))
+    assert exc.value.line == 4
+    assert str(exc.value) == (
+        f"line 4: id {record_id!r} contains ',', which separates the ids of a list"
+    )
+
+
+@pytest.mark.parametrize(
     "line",
     [
         "THREAT|r1|a|m|data,data::copy",
