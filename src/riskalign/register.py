@@ -20,9 +20,10 @@ CTRL records, and a criterion any IMPACT that negates it.
     REQ|<treatment>|<id>|<text>
     CTRL|<requirement>|<id>|<text>
 
-Id lists are comma separated and may be empty, so a declared id may not
-contain ",". Neither declared ids nor the element ids a record binds may
-contain "::", which names the entities induced_graph derives from a risk.
+Id lists are comma separated and may be empty, and their items are stripped
+of blanks, so a declared id may not contain "," or start or end with a blank.
+Neither declared ids nor the element ids a record binds may contain "::",
+which names the entities induced_graph derives from a risk.
 """
 
 from __future__ import annotations
@@ -159,6 +160,9 @@ def parse_risk_catalog(text: str, classification: ClassificationSet) -> RiskRegi
             if mark in record_id:
                 raise CatalogFormatError(
                     f"id {record_id!r} contains {mark!r}, which {role}", lineno)
+        if record_id != record_id.strip():
+            raise CatalogFormatError(f"id {record_id!r} starts or ends with a blank, "
+                                     "which id lists strip", lineno)
         if record_id in model:
             raise CatalogFormatError(
                 f"id {record_id!r} collides with a model element id", lineno
@@ -376,9 +380,13 @@ def validate_register(register: RiskRegister) -> list[Violation]:
     """Structural findings for a register: graph rules plus binding checks.
 
     One pass over the records finds what validate_structure finds on
-    induced_graph(register), messages included, without building the graph.
+    induced_graph(register), messages included, without building the graph. It
+    hands each bound end to riskgraph.check_edge and each risk and event with a
+    part to riskgraph.check_whole; bare events, harmed elements and criterion
+    bindings it checks itself.
     """
-    from .riskgraph import PART_OF_RULES, RelationKind, Violation, _kinds_label
+    from .riskgraph import (PART_OF_RULES, RelationKind, Violation, check_edge,
+                            check_whole, incomplete_threat, unbound_vulnerability)
 
     # The parser rejects duplicate, '::'-bearing and colliding ids and a second
     # threat, so REL_ENDPOINT_MISSING, PART_OF_PAIR, ENT_PSEUDO_CONCEPT, the
@@ -386,37 +394,30 @@ def validate_register(register: RiskRegister) -> list[Violation]:
     classification = register.classification
     found: set[Violation] = set()
     concepts: dict[str, ISSRMConcept] = {}  # bound_concept of each element seen
-    # The parts a risk may lack: its event's threat or vulnerability, its impact.
-    missing_rules = [(part, whole, word, code)
-                     for part, whole, word, _, code in PART_OF_RULES
-                     if code and part is not ISSRMConcept.EVENT]
 
-    def check_ends(kind: RelationKind, source: str, element_ids: tuple[str, ...]):
-        """Target-kind findings for kind edges from source to bound elements."""
-        _, target_kinds, code = kind._endpoints
+    def check_ends(kind: RelationKind, source: str, source_concept: ISSRMConcept,
+                   element_ids: tuple[str, ...]) -> None:
+        """Endpoint findings for kind edges from source to bound elements."""
         for element_id in element_ids:
             if element_id not in concepts:
                 concepts[element_id] = bound_concept(classification, element_id)
-            concept = concepts[element_id]
-            if concept not in target_kinds:
-                found.add(Violation(code, (kind.value, source, element_id),
-                                    f"{kind} target must be "
-                                    f"{_kinds_label(target_kinds)}, got {concept}"))
+            check_edge(found, kind, source, element_id, source_concept,
+                       concepts[element_id])
 
     for case in register.risks:
         threat = case.threat
         if threat is not None:
             threat_id = f"{case.id}::threat"
-            check_ends(RelationKind.TARGETS, threat_id, threat.targets)
+            check_ends(RelationKind.TARGETS, threat_id, ISSRMConcept.THREAT,
+                       threat.targets)
             if not (threat.agent and threat.method):
-                found.add(Violation("THR_INCOMPLETE", (threat_id,), "threat in an "
-                                    "event lacks an agent or attack method"))
+                found.add(incomplete_threat(threat_id))
         for index, vuln in enumerate(case.vulnerabilities, start=1):
             vuln_id = f"{case.id}::vuln{index}"
-            check_ends(RelationKind.CHARACTERISTIC_OF, vuln_id, vuln.elements)
+            check_ends(RelationKind.CHARACTERISTIC_OF, vuln_id,
+                       ISSRMConcept.VULNERABILITY, vuln.elements)
             if not vuln.elements:
-                found.add(Violation("VULN_NO_ISASSET", (vuln_id,), "vulnerability in "
-                                    "an event is not a characteristic of any IS asset"))
+                found.add(unbound_vulnerability(vuln_id))
         for index, impact in enumerate(case.impacts, start=1):
             impact_id = f"{case.id}::impact{index}"
             for element_id in impact.harmed:
@@ -427,21 +428,17 @@ def validate_register(register: RiskRegister) -> list[Violation]:
                                         f"harmed element {element_id!r} has no "
                                         "definite asset classification"))
 
-        parts = [part for part, declared in (
-            (ISSRMConcept.THREAT, threat is not None),
-            (ISSRMConcept.VULNERABILITY, case.vulnerabilities),
-            (ISSRMConcept.IMPACT, case.impacts),
-        ) if declared]
-        bare = threat is None and not case.vulnerabilities  # an event with no part
-        for part, whole, word, code in missing_rules:
-            if part in parts:
-                continue
-            if whole is ISSRMConcept.RISK:
-                found.add(Violation(code, (case.id,), f"risk has no {word} part"))
-            else:
-                message = (f"risk {case.id!r} declares no {word}" if bare
-                           else f"event has no {word} part")
-                found.add(Violation(code, (case.event_id,), message))
+        if threat is None and not case.vulnerabilities:  # an event with no part
+            for _, whole, word, _, code in PART_OF_RULES:
+                if whole is ISSRMConcept.EVENT:
+                    found.add(Violation(code, (case.event_id,),
+                                        f"risk {case.id!r} declares no {word}"))
+        else:
+            check_whole(found, case.event_id, ISSRMConcept.EVENT,
+                        [ISSRMConcept.THREAT] * (threat is not None)
+                        + [ISSRMConcept.VULNERABILITY] * len(case.vulnerabilities))
+        check_whole(found, case.id, ISSRMConcept.RISK,
+                    [ISSRMConcept.EVENT] + [ISSRMConcept.IMPACT] * len(case.impacts))
 
     for crit in register.criteria:
         for element_id in crit.constrains:

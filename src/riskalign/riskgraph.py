@@ -4,7 +4,8 @@ A RiskGraph holds entities typed by ISSRM concept and relations drawn from a
 closed kind vocabulary. validate_structure() reports rule breaches as
 Violation values instead of raising, so callers can collect, sort and render
 them. Graphs are immutable after construction and safe to share between
-threads.
+threads. check_edge, check_whole, incomplete_threat and unbound_vulnerability
+are public because register.validate_register runs them on a register too.
 """
 
 from __future__ import annotations
@@ -114,7 +115,6 @@ class Violation(NamedTuple):
 # specialized where a named rule exists for that relation. Kinds sit in
 # tuples, so membership compares members by identity instead of hashing
 # them through Enum.__hash__, a Python function before 3.12.
-_SOURCE = "REL_SOURCE_KIND"
 _TARGET = "REL_TARGET_KIND"
 _ENDPOINT_RULES: dict[
     RelationKind,
@@ -181,7 +181,7 @@ _ENDPOINT_RULES: dict[
         _TARGET,
     ),
 }
-# Each member carries its rule, so validate_structure reads kind._endpoints
+# Each member carries its rule, so check_edge reads kind._endpoints
 # instead of hashing the member for a dict lookup.
 for _kind, _rule in _ENDPOINT_RULES.items():
     _kind._endpoints = _rule
@@ -246,12 +246,11 @@ def validate_structure(graph: RiskGraph) -> list[Violation]:
     Existence-cardinality rules are gated: a composite must have at least one
     valid part before "is missing its X part" findings apply, so adding a
     bare entity never introduces a violation. At-most-one rules always apply.
+    Each edge goes through check_edge and each whole with a valid part through
+    check_whole, the checks validate_register shares.
     """
     entities = graph._entities
     found: set[Violation] = set()
-
-    def emit(code: str, subjects: tuple[str, ...], message: str) -> None:
-        found.add(Violation(code, subjects, message))
 
     # The concepts of the valid parts of each composite that has one.
     parts: dict[str, list[ISSRMConcept]] = {}
@@ -265,11 +264,9 @@ def validate_structure(graph: RiskGraph) -> list[Violation]:
         dst = entities.get(target)
         if src is None or dst is None:
             missing = source if src is None else target
-            emit(
-                "REL_ENDPOINT_MISSING",
-                (kind.value, source, target),
-                f"{kind} endpoint {missing!r} is not an entity in the graph",
-            )
+            found.add(Violation(
+                "REL_ENDPOINT_MISSING", (kind.value, source, target),
+                f"{kind} endpoint {missing!r} is not an entity in the graph"))
             continue
         if kind is RelationKind.CHARACTERISTIC_OF:
             characterizes.add(source)
@@ -279,75 +276,78 @@ def validate_structure(graph: RiskGraph) -> list[Violation]:
             if (src.concept, dst.concept) in PART_OF_PAIRS:
                 parts.setdefault(target, []).append(src.concept)
             else:
-                emit(
-                    "PART_OF_PAIR",
-                    (kind.value, source, target),
-                    f"{src.concept} cannot be part of {dst.concept}",
-                )
+                found.add(Violation(
+                    "PART_OF_PAIR", (kind.value, source, target),
+                    f"{src.concept} cannot be part of {dst.concept}"))
             continue
-        source_kinds, target_kinds, target_code = kind._endpoints
-        if src.concept not in source_kinds:
-            emit(
-                _SOURCE,
-                (kind.value, source, target),
-                f"{kind} source must be "
-                f"{_kinds_label(source_kinds)}, got {src.concept}",
-            )
-        if dst.concept not in target_kinds:
-            emit(
-                target_code,
-                (kind.value, source, target),
-                f"{kind} target must be "
-                f"{_kinds_label(target_kinds)}, got {dst.concept}",
-            )
+        check_edge(found, kind, source, target, src.concept, dst.concept)
 
     for ent_id, concept, _ in entities.values():
         if concept is ISSRMConcept.ATTRIBUTE_ANNOTATION:
-            emit(
-                "ENT_PSEUDO_CONCEPT",
-                (ent_id,),
-                "AttributeAnnotation marks rule targets and cannot type an entity",
-            )
+            found.add(Violation(
+                "ENT_PSEUDO_CONCEPT", (ent_id,),
+                "AttributeAnnotation marks rule targets and cannot type an entity"))
         if concept is ISSRMConcept.THREAT:
             own_parts = parts.get(ent_id, ())
             if ent_id in in_event and (
                 ISSRMConcept.THREAT_AGENT not in own_parts
                 or ISSRMConcept.ATTACK_METHOD not in own_parts
             ):
-                emit(
-                    "THR_INCOMPLETE",
-                    (ent_id,),
-                    "threat in an event lacks an agent or attack method",
-                )
+                found.add(incomplete_threat(ent_id))
 
         elif concept is ISSRMConcept.VULNERABILITY:
             if ent_id in in_event and ent_id not in characterizes:
-                emit(
-                    "VULN_NO_ISASSET",
-                    (ent_id,),
-                    "vulnerability in an event is not a characteristic of any IS asset",
-                )
+                found.add(unbound_vulnerability(ent_id))
 
-    # Only a whole with a valid part is in parts, which gates the existence
-    # rules. list.count compares concepts by identity, without hashing them.
+    # Only a whole with a valid part is in parts, which gates the existence rules.
     for whole_id, part_concepts in parts.items():
-        concept = entities[whole_id].concept
-        for part, whole, word, multi_code, missing_code in PART_OF_RULES:
-            if whole is not concept:
-                continue
-            count = part_concepts.count(part)
-            if count > 1 and multi_code:
-                emit(multi_code, (whole_id,),
-                     f"{concept.value.lower()} has more than one {word} part")
-            if not count and missing_code:
-                emit(missing_code, (whole_id,),
-                     f"{concept.value.lower()} has no {word} part")
+        check_whole(found, whole_id, entities[whole_id].concept, part_concepts)
 
     return sorted(found, key=Violation.sort_key)
 
 
-def _kinds_label(kinds: tuple[ISSRMConcept, ...]) -> str:
-    return " or ".join(sorted(k.value for k in kinds))
+def check_edge(found: set[Violation], kind: RelationKind, source: str, target: str,
+               source_concept: ISSRMConcept, target_concept: ISSRMConcept) -> None:
+    """Add to found the endpoint findings of a kind edge between ends of the given
+    concepts; an edge with legal ends builds nothing."""
+    source_kinds, target_kinds, target_code = kind._endpoints
+    if source_concept in source_kinds and target_concept in target_kinds:
+        return
+    for end, concept, kinds, code in (
+        ("source", source_concept, source_kinds, "REL_SOURCE_KIND"),
+        ("target", target_concept, target_kinds, target_code),
+    ):
+        if concept not in kinds:
+            label = " or ".join(sorted(k.value for k in kinds))
+            found.add(Violation(code, (kind.value, source, target),
+                                f"{kind} {end} must be {label}, got {concept}"))
+
+
+def check_whole(found: set[Violation], whole_id: str, concept: ISSRMConcept,
+                part_concepts: list[ISSRMConcept]) -> None:
+    """Add to found the PART_OF_RULES findings of a whole whose valid parts have
+    part_concepts; callers gate the existence rules by passing some part."""
+    # list.count compares concepts by identity, without hashing them.
+    for part, whole, word, multi_code, missing_code in PART_OF_RULES:
+        if whole is not concept:
+            continue
+        count = part_concepts.count(part)
+        if count > 1 and multi_code:
+            found.add(Violation(multi_code, (whole_id,), f"{concept.value.lower()} "
+                                f"has more than one {word} part"))
+        if not count and missing_code:
+            found.add(Violation(missing_code, (whole_id,),
+                                f"{concept.value.lower()} has no {word} part"))
+
+
+def incomplete_threat(threat_id: str) -> Violation:
+    return Violation("THR_INCOMPLETE", (threat_id,),
+                     "threat in an event lacks an agent or attack method")
+
+
+def unbound_vulnerability(vuln_id: str) -> Violation:
+    return Violation("VULN_NO_ISASSET", (vuln_id,), "vulnerability in an event is "
+                     "not a characteristic of any IS asset")
 
 
 def render_violations_text(violations: list[Violation]) -> str:

@@ -363,6 +363,28 @@ class TestValidate:
             " list\n"
         )
 
+    def test_blank_around_declared_id_is_an_input_error(self, capsys, lab, tmp_path):
+        # Read back from an IMPACT, " c1" would be stripped to c1, an unknown id.
+        register = write(
+            tmp_path, "blank.risk", "CRIT| c1|Name|\nRISK|r1|A\nIMPACT|r1|i|| c1\n"
+        )
+        code, out, err = run(
+            capsys,
+            "validate",
+            "--model",
+            lab["tab"],
+            "--ruleset",
+            "archimate21",
+            "--register",
+            register,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: line 1: id ' c1' starts or ends with a blank, which id lists"
+            " strip\n"
+        )
+
     def test_bound_element_id_with_derived_name_is_an_input_error(
         self, capsys, lab, tmp_path
     ):

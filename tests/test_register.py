@@ -194,6 +194,28 @@ def test_declared_ids_may_not_contain_commas(line, record_id):
 
 
 @pytest.mark.parametrize(
+    "line, record_id",
+    [
+        ("CRIT| c1|Name|", " c1"),
+        ("RISK|r2 |B", "r2 "),
+        ("TREAT|r1|\tt2|text", "\tt2"),
+        ("REQ|t1| q2 |text", " q2 "),
+        ("CTRL|q1|k2\u00a0|text", "k2\u00a0"),
+    ],
+)
+def test_declared_ids_may_not_start_or_end_with_a_blank(line, record_id):
+    # Id lists strip blanks from their items, so such an id could not be
+    # referred to from one.
+    text = "RISK|r1|A\nTREAT|r1|t1|treat\nREQ|t1|q1|req\n" + line + "\n"
+    with pytest.raises(CatalogFormatError) as exc:
+        parse_risk_catalog(text, classification_of(SMALL))
+    assert exc.value.line == 4
+    assert str(exc.value) == (
+        f"line 4: id {record_id!r} starts or ends with a blank, which id lists strip"
+    )
+
+
+@pytest.mark.parametrize(
     "line",
     [
         "THREAT|r1|a|m|data,data::copy",

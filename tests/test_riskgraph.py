@@ -282,6 +282,148 @@ def test_bare_register_event_findings_name_the_risk():
     ]
 
 
+# --- every finding text --------------------------------------------------------------
+
+def findings(violations):
+    return [(v.code, v.subjects, v.message) for v in violations]
+
+
+# One case per relation kind but part_of: a source of the wrong concept
+# (Control, or Risk for implements) and a target of the wrong concept (Risk,
+# or Event where Risk is legal), with the exact source and target findings.
+EDGE_FINDINGS = [
+    (K.SUPPORTS, "supports source must be ISAsset, got Control",
+     "REL_TARGET_KIND", "supports target must be BusinessAsset, got Risk"),
+    (K.CONSTRAINS, "constrains source must be SecurityCriterion, got Control",
+     "CRIT_NOT_ON_BIZASSET", "constrains target must be BusinessAsset, got Risk"),
+    (K.TARGETS, "targets source must be Threat, got Control",
+     "THR_TARGET_NOT_ISASSET", "targets target must be ISAsset, got Risk"),
+    (K.CHARACTERISTIC_OF,
+     "characteristic_of source must be Vulnerability, got Control",
+     "VULN_NOT_ON_ISASSET", "characteristic_of target must be ISAsset, got Risk"),
+    (K.USES, "uses source must be ThreatAgent, got Control",
+     "REL_TARGET_KIND", "uses target must be AttackMethod, got Risk"),
+    (K.LEADS_TO, "leads_to source must be Event, got Control",
+     "REL_TARGET_KIND", "leads_to target must be Impact, got Risk"),
+    (K.HARMS, "harms source must be Impact, got Control",
+     "REL_TARGET_KIND",
+     "harms target must be Asset or BusinessAsset or ISAsset, got Risk"),
+    (K.NEGATES, "negates source must be Impact, got Control",
+     "REL_TARGET_KIND", "negates target must be SecurityCriterion, got Risk"),
+    (K.DECISION_FOR, "decision_for source must be RiskTreatment, got Control",
+     "REL_TARGET_KIND", "decision_for target must be Risk, got Event"),
+    (K.REFINES, "refines source must be SecurityRequirement, got Control",
+     "REL_TARGET_KIND", "refines target must be RiskTreatment, got Risk"),
+    (K.MITIGATES, "mitigates source must be SecurityRequirement, got Control",
+     "REL_TARGET_KIND", "mitigates target must be Risk, got Event"),
+    (K.IMPLEMENTS, "implements source must be Control, got Risk",
+     "REL_TARGET_KIND", "implements target must be SecurityRequirement, got Risk"),
+]
+
+
+def test_edge_findings_cover_every_kind_but_part_of():
+    assert sorted(kind.value for kind, *_ in EDGE_FINDINGS) == sorted(
+        kind.value for kind in K if kind is not K.PART_OF
+    )
+
+
+@pytest.mark.parametrize("kind,source_message,target_code,target_message",
+                         EDGE_FINDINGS)
+def test_edge_finding_messages(kind, source_message, target_code, target_message):
+    src_c = C.RISK if kind is K.IMPLEMENTS else C.CONTROL
+    dst_c = C.EVENT if kind in (K.DECISION_FOR, K.MITIGATES) else C.RISK
+    g = graph(Entity("s", src_c), Entity("t", dst_c), Relation(kind, "s", "t"))
+    subjects = (kind.value, "s", "t")
+    assert findings(validate_structure(g)) == sorted([
+        ("REL_SOURCE_KIND", subjects, source_message),
+        (target_code, subjects, target_message),
+    ])
+
+
+# One minimal graph per code neither EDGE_FINDINGS nor CARDINALITY covers,
+# with every finding it gives, exactly.
+OTHER_FINDINGS = [
+    ([Entity("s", C.IS_ASSET), Relation(K.SUPPORTS, "s", "ghost")],
+     [("REL_ENDPOINT_MISSING", ("supports", "s", "ghost"),
+       "supports endpoint 'ghost' is not an entity in the graph")]),
+    ([Entity("t", C.BUSINESS_ASSET), Relation(K.SUPPORTS, "ghost", "t")],
+     [("REL_ENDPOINT_MISSING", ("supports", "ghost", "t"),
+       "supports endpoint 'ghost' is not an entity in the graph")]),
+    ([Entity("p", C.IMPACT), Entity("w", C.EVENT), Relation(K.PART_OF, "p", "w")],
+     [("PART_OF_PAIR", ("part_of", "p", "w"), "Impact cannot be part of Event")]),
+    ([Entity("x", C.ATTRIBUTE_ANNOTATION)],
+     [("ENT_PSEUDO_CONCEPT", ("x",),
+       "AttributeAnnotation marks rule targets and cannot type an entity")]),
+    ([Entity("ev", C.EVENT), Entity("t", C.THREAT), Entity("v", C.VULNERABILITY),
+      Entity("a", C.IS_ASSET), Relation(K.PART_OF, "t", "ev"),
+      Relation(K.PART_OF, "v", "ev"), Relation(K.CHARACTERISTIC_OF, "v", "a")],
+     [("THR_INCOMPLETE", ("t",),
+       "threat in an event lacks an agent or attack method")]),
+    ([Entity("ev", C.EVENT), Entity("v", C.VULNERABILITY),
+      Relation(K.PART_OF, "v", "ev")],
+     [("EVT_NO_THREAT", ("ev",), "event has no threat part"),
+      ("VULN_NO_ISASSET", ("v",),
+       "vulnerability in an event is not a characteristic of any IS asset")]),
+]
+
+
+@pytest.mark.parametrize("parts,expected", OTHER_FINDINGS)
+def test_other_finding_messages(parts, expected):
+    assert findings(validate_structure(graph(*parts))) == expected
+
+
+def test_register_binding_finding_messages(lab_reviewed):
+    register = parse_risk_catalog(
+        "CRIT|ca|Integrity|pri-data-privacy-directive\n"
+        "CRIT|cb|Integrity|dev-tablet\n"
+        "RISK|x1|Risk\n"
+        "THREAT|x1|Thief|Theft|bs-home-blood-taking\n"
+        "VULN|x1|weak lock|bs-home-blood-taking\n"
+        "IMPACT|x1|outage|goal-confidentiality-personal-info|\n",
+        lab_reviewed,
+    )
+    assert findings(validate_register(register)) == [
+        ("CRIT_NOT_ON_BIZASSET", ("cb", "dev-tablet"),
+         "criterion 'cb' constrains 'dev-tablet', which is not classified as "
+         "a business asset"),
+        ("CRIT_ON_UNCONFIRMED", ("ca", "pri-data-privacy-directive"),
+         "criterion 'ca' constrains 'pri-data-privacy-directive', whose "
+         "business-asset classification is not confirmed"),
+        ("IMP_HARM_UNCLASSIFIED",
+         ("x1::impact1", "goal-confidentiality-personal-info"),
+         "harmed element 'goal-confidentiality-personal-info' has no definite "
+         "asset classification"),
+        ("THR_TARGET_NOT_ISASSET",
+         ("targets", "x1::threat", "bs-home-blood-taking"),
+         "targets target must be ISAsset, got BusinessAsset"),
+        ("VULN_NOT_ON_ISASSET",
+         ("characteristic_of", "x1::vuln1", "bs-home-blood-taking"),
+         "characteristic_of target must be ISAsset, got BusinessAsset"),
+    ]
+
+
+def test_register_part_finding_messages(lab_reviewed):
+    # A risk with a threat but no vulnerability, and one with a vulnerability
+    # on no element but no threat; neither has an impact.
+    register = parse_risk_catalog(
+        "RISK|y1|Threat only\n"
+        "THREAT|y1|-|Theft|dev-tablet\n"
+        "RISK|y2|Vulnerability only\n"
+        "VULN|y2|floating weakness|\n",
+        lab_reviewed,
+    )
+    assert findings(validate_register(register)) == [
+        ("EVT_NO_THREAT", ("y2::event",), "event has no threat part"),
+        ("EVT_NO_VULN", ("y1::event",), "event has no vulnerability part"),
+        ("RISK_NO_IMPACT", ("y1",), "risk has no impact part"),
+        ("RISK_NO_IMPACT", ("y2",), "risk has no impact part"),
+        ("THR_INCOMPLETE", ("y1::threat",),
+         "threat in an event lacks an agent or attack method"),
+        ("VULN_NO_ISASSET", ("y2::vuln1",),
+         "vulnerability in an event is not a characteristic of any IS asset"),
+    ]
+
+
 def test_invalid_part_does_not_arm_existence_checks():
     # impact part_of event is illegal, so the event still counts as bare
     g = graph(
