@@ -1,17 +1,20 @@
 """Command line behavior: exit codes, output formats, error reporting."""
 
 import errno
+import json
 import os
 import pyexpat
 import re
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
 import pytest
 
-import riskalign
 from riskalign.cli import main
+
+from .launchers import MODULE, SCRIPT, STAND_IN, child_env, run_python
 
 TRACE_R1 = """\
 risk [r1]: Disclosure of biomedical prescription data
@@ -1029,21 +1032,6 @@ class TestOutFiles:
         assert target.read_text().startswith("violations: 4\n")
 
 
-CLI = [sys.executable, "-m", "riskalign.cli"]
-
-
-def child_env(buffered: bool = False) -> dict[str, str]:
-    """The environment for a CLI subprocess that imports the same riskalign
-    as this process, installed or not; buffered drops PYTHONUNBUFFERED so
-    the child's stdout is block-buffered."""
-    src = str(Path(riskalign.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    if buffered:
-        env.pop("PYTHONUNBUFFERED", None)
-    return env
-
-
 @pytest.fixture
 def big_model(tmp_path):
     """A 3,000-element model whose import report outgrows a 64 KiB pipe buffer."""
@@ -1068,18 +1056,42 @@ def validate_argv(lab):
     ]
 
 
-class TestInstalledEntryPoint:
-    def test_subprocess_exit_codes(self, lab):
-        env = child_env()
-        ok = subprocess.run(
-            CLI + validate_argv(lab), capture_output=True, text=True, env=env
+# Golden cases of tests/fixtures/cli_golden.json that a child replays.
+CHILD_GOLDEN = [
+    "import-xml-text", "trace-r1-tab-text", "report-coverage-tab-text",
+    "validate-bare-tab-text", "validate-bare-tab-records", "warn-import-text",
+]
+# Usage calls a child replays: argv, exit code and last stderr line.
+CHILD_USAGE = {
+    "help": (["--help"], 0, ""),
+    "review-help": (["review", "--help"], 0, ""),
+    "classify-no-ruleset": (
+        ["classify", "--model", "m"], 2,
+        "riskalign classify: error: the following arguments are required: --ruleset",
+    ),
+}
+
+
+class Launched:
+    """Base of the process tests, run through self.launcher: python -m
+    riskalign.cli, or the console script in TestConsoleScript. A class
+    attribute, not a parameter, so the module launcher's test ids stay bare."""
+
+    launcher = MODULE
+
+    def spawn(self, argv, buffered=False, **kwargs):
+        return subprocess.run(
+            [*self.launcher, *argv], text=True, env=child_env(buffered), **kwargs
         )
+
+
+class EntryPointChecks(Launched):
+    def test_subprocess_exit_codes(self, lab):
+        ok = self.spawn(validate_argv(lab), capture_output=True)
         assert ok.returncode == 0
         assert ok.stdout.startswith("violations: 1\n")
 
-        bad_usage = subprocess.run(
-            CLI + ["trace"], capture_output=True, text=True, env=env
-        )
+        bad_usage = self.spawn(["trace"], capture_output=True)
         assert bad_usage.returncode == 2
         assert "usage:" in bad_usage.stderr
 
@@ -1091,24 +1103,35 @@ class TestInstalledEntryPoint:
         code, expected, _ = run(capsys, *argv)
         assert code == 0
         assert len(expected.encode()) > 64 * 1024
-        child = subprocess.run(
-            CLI + argv, capture_output=True, text=True, env=child_env(buffered)
-        )
+        child = self.spawn(argv, buffered, capture_output=True)
         assert (child.returncode, child.stderr) == (0, "")
         assert child.stdout == expected
 
-    @staticmethod
-    def run_without_descriptor(fd, argv, **kwargs):
-        """Run the CLI with descriptor fd closed before the interpreter
+    @pytest.mark.parametrize("name", [*CHILD_GOLDEN, *CHILD_USAGE])
+    def test_child_output_matches_golden(self, capsys, fixtures_dir, name):
+        if name in CHILD_USAGE:
+            argv, code, last_line = CHILD_USAGE[name]
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            out, err = capsys.readouterr()
+            assert (exc.value.code, err.rstrip("\n").rpartition("\n")[2]) == (code, last_line)
+            expected = (code, out, err)
+        else:
+            case = json.loads((fixtures_dir / "cli_golden.json").read_text("utf-8"))[name]
+            argv = [arg.replace("{fixtures}", str(fixtures_dir)) for arg in case["argv"]]
+            expected = (case["exit"], case["stdout"], case["stderr"])
+        child = self.spawn(argv, capture_output=True)
+        assert (child.returncode, child.stdout, child.stderr) == expected
+
+    def run_without_descriptor(self, fd, argv, **kwargs):
+        """Run the launcher with descriptor fd closed before the interpreter
         starts, which leaves the matching sys.stdout or sys.stderr None."""
         script = (
             "import os, sys\n"
             f"os.close({fd})\n"
-            f"os.execv(sys.executable, [sys.executable, '-m', 'riskalign.cli', *{argv!r}])\n"
+            f"os.execv({self.launcher[0]!r}, [*{self.launcher!r}, *{argv!r}])\n"
         )
-        return subprocess.run(
-            [sys.executable, "-c", script], text=True, env=child_env(), **kwargs
-        )
+        return run_python(script, **kwargs)
 
     def test_usage_error_without_a_stdout_descriptor(self):
         child = self.run_without_descriptor(1, [], stderr=subprocess.PIPE)
@@ -1153,6 +1176,8 @@ class TestInstalledEntryPoint:
         )
         assert (child.returncode, child.stdout) == (0, expected)
 
+
+class TestInstalledEntryPoint(EntryPointChecks):
     def test_an_unexpected_exception_keeps_its_traceback(self):
         script = (
             "import riskalign.cli as cli\n"
@@ -1161,30 +1186,33 @@ class TestInstalledEntryPoint:
             "cli.main = main\n"
             "cli.run()\n"
         )
-        child = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            env=child_env(),
-        )
+        child = run_python(script, capture_output=True)
         assert child.returncode == 1
         assert "Traceback" in child.stderr
         assert "RuntimeError: planted" in child.stderr
 
+    def test_the_stand_in_runs_the_declared_entry_point(self):
+        # Python 3.10 has no tomllib, so the table is matched as text.
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text("utf-8")
+        scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        body = re.fullmatch(
+            r"import sys; from ([\w.]+) import (\w+); sys\.exit\(\2\(\)\)", STAND_IN[2]
+        )
+        assert 'riskalign = "%s:%s"' % body.groups() in scripts.splitlines()
 
-class _ClosedPipe:
-    """A stdout whose reader has gone away."""
+    def test_an_installed_console_script_is_the_launcher(self):
+        installed = Path(sysconfig.get_path("scripts"), "riskalign")
+        assert SCRIPT == ((str(installed),) if installed.is_file() else STAND_IN)
+
+
+class _FailingWrite:
+    """A stdout whose every write fails, as on a closed pipe or a full device."""
+
+    def __init__(self, error):
+        self.error = error
 
     def write(self, text):
-        raise BrokenPipeError
-
-    def flush(self):
-        pass
-
-
-class _FullDevice:
-    """A stdout on a device with no space left."""
-
-    def write(self, text):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        raise self.error
 
     def flush(self):
         pass
@@ -1203,13 +1231,7 @@ class _FailingFlush:
         raise self.error
 
 
-class TestBrokenPipe:
-    def test_closed_stdout_exits_zero_without_stderr(self, capsys, monkeypatch, lab):
-        for stdout in (_ClosedPipe(), _FailingFlush(BrokenPipeError())):
-            monkeypatch.setattr(sys, "stdout", stdout)
-            code = main(["import", "--model", lab["model"]])
-            assert (code, capsys.readouterr().err) == (0, ""), stdout
-
+class ClosedPipeChecks(Launched):
     @pytest.mark.parametrize("buffered", [False, True])
     @pytest.mark.parametrize("size", ["small", "large"])
     def test_closed_stdout_pipe_in_a_subprocess(self, lab, big_model, size, buffered):
@@ -1218,26 +1240,21 @@ class TestBrokenPipe:
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            child = subprocess.run(
-                CLI + argv, stdout=write_end, stderr=subprocess.PIPE, text=True,
-                env=child_env(buffered),
-            )
+            child = self.spawn(argv, buffered, stdout=write_end, stderr=subprocess.PIPE)
         finally:
             os.close(write_end)
         assert (child.returncode, child.stderr) == (0, "")
 
 
-class TestUnwritableStdout:
-    def test_write_error_is_an_input_error(self, capsys, monkeypatch, lab):
-        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        for stdout in (_FullDevice(), _FailingFlush(full)):
+class TestBrokenPipe(ClosedPipeChecks):
+    def test_closed_stdout_exits_zero_without_stderr(self, capsys, monkeypatch, lab):
+        for stdout in (_FailingWrite(BrokenPipeError()), _FailingFlush(BrokenPipeError())):
             monkeypatch.setattr(sys, "stdout", stdout)
             code = main(["import", "--model", lab["model"]])
-            assert code == 2, stdout
-            assert capsys.readouterr().err == (
-                "error: cannot write standard output: No space left on device\n"
-            )
+            assert (code, capsys.readouterr().err) == (0, ""), stdout
 
+
+class FullDeviceChecks(Launched):
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("buffered", [False, True])
     @pytest.mark.parametrize("size", ["small", "large"])
@@ -1248,11 +1265,30 @@ class TestUnwritableStdout:
         # ones in its write.
         model = lab["model"] if size == "small" else big_model
         with open("/dev/full", "w") as full:
-            child = subprocess.run(
-                CLI + ["import", "--model", model], stdout=full,
-                stderr=subprocess.PIPE, text=True, env=child_env(buffered),
+            child = self.spawn(
+                ["import", "--model", model], buffered, stdout=full,
+                stderr=subprocess.PIPE,
             )
         assert child.returncode == 2
         assert child.stderr == (
             "error: cannot write standard output: No space left on device\n"
         )
+
+
+class TestUnwritableStdout(FullDeviceChecks):
+    def test_write_error_is_an_input_error(self, capsys, monkeypatch, lab):
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        for stdout in (_FailingWrite(full), _FailingFlush(full)):
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = main(["import", "--model", lab["model"]])
+            assert code == 2, stdout
+            assert capsys.readouterr().err == (
+                "error: cannot write standard output: No space left on device\n"
+            )
+
+
+class TestConsoleScript(EntryPointChecks, ClosedPipeChecks, FullDeviceChecks):
+    """Every process test of the three classes above, through the console
+    script instead of python -m riskalign.cli."""
+
+    launcher = SCRIPT

@@ -82,6 +82,8 @@ def test_equality_ignores_source_and_warnings():
     m2 = EAModel("togaf91", elems, source="two.xml")
     assert m1 == m2
     assert m1 != EAModel("iaf", elems)
+    assert m1 != ("togaf91", elems)
+    assert repr(m1) == "EAModel('togaf91', 1 elements, 0 relationships)"
 
 
 def fan_model():

@@ -8,7 +8,6 @@ under two fixed seeds and must print the same bytes and exit the same way.
 
 from __future__ import annotations
 
-import os
 import random
 import subprocess
 import sys
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-import riskalign
+from .launchers import MODULE, child_env
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -34,12 +33,8 @@ LAB_COMMANDS = {
 
 
 def run_cli(argv: list[str], hash_seed: str) -> tuple[int, bytes, bytes]:
-    src = str(Path(riskalign.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed}
-    done = subprocess.run(
-        [sys.executable, "-m", "riskalign.cli", *argv], capture_output=True, env=env
-    )
+    env = {**child_env(), "PYTHONHASHSEED": hash_seed}
+    done = subprocess.run([*MODULE, *argv], capture_output=True, env=env)
     return done.returncode, done.stdout, done.stderr
 
 

@@ -71,6 +71,8 @@ def test_mapping_type_str():
     assert str(SPECIALISATION) == "specialisation"
     assert str(UNSPECIFIED) == ""
     assert str(non_standard("specification")) == "specification"
+    with pytest.raises(ValueError, match="verbatim token"):
+        non_standard("")
 
 
 # --- targets ------------------------------------------------------------------------
@@ -280,7 +282,10 @@ def test_row_count_counts_rows_not_rules():
         rule("role", ConceptTarget(C.ASSET), mapping=ASSOCIATION),
         rule("actor", ConceptTarget(C.IS_ASSET), row=2),
     ]
-    assert Ruleset("iaf", "", rules).row_count == 2
+    rs = Ruleset("iaf", "", rules)
+    assert rs.row_count == 2
+    assert repr(rs) == "Ruleset('iaf', 3 rules)"
+    assert rs != rules
 
 
 def test_resolve_rules_applies_conditions():

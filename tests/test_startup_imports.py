@@ -10,14 +10,13 @@ from __future__ import annotations
 import ast
 import importlib
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import riskalign
+
+from .launchers import run_python
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TAB = str(FIXTURES / "lab_model.tab")
@@ -70,12 +69,7 @@ for argv in {steps!r}:
 
 def run_child(code: str) -> str:
     """Run code in a fresh interpreter that imports this process's riskalign."""
-    src = str(Path(riskalign.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    done = run_python(code, capture_output=True)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
