@@ -7,9 +7,14 @@ tests/fixtures/cli_golden_escaped.json. Paths in the argument lists are
 written relative to tests/fixtures as "{fixtures}/...". --stamp is left out
 because its output carries the current time.
 
-After a deliberate output change, rewrite the golden files with
+This table is the one home for a command line's output. Other test modules
+read the golden files through load_golden and resolve only. To add a case,
+add its argv to golden_cases() (or escaped_cases()), then rewrite the golden
+files, as after a deliberate output change, with
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
+
+and review their diff.
 """
 
 from __future__ import annotations
@@ -143,18 +148,23 @@ def escaped_cases() -> list[tuple[str, list[str]]]:
     ]
 
 
+@functools.lru_cache(maxsize=None)
+def load_golden(path: Path) -> dict:
+    """The golden file at path: case name -> argv, stdout, stderr, exit."""
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def resolve(argv: list[str]) -> list[str]:
+    """A golden argv with "{fixtures}" turned into the fixtures directory."""
+    return [arg.replace("{fixtures}", str(FIXTURES)) for arg in argv]
+
+
 def run_case(argv: list[str]) -> dict:
     """Run cli.main in-process; returns stdout, stderr and the exit code."""
-    argv = [arg.replace("{fixtures}", str(FIXTURES)) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        code = main(resolve(argv))
     return {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
-
-
-@functools.lru_cache(maxsize=None)
-def _golden(path: Path) -> dict:
-    return json.loads(path.read_text(encoding="utf-8"))
 
 
 GOLDEN_FILES = {GOLDEN: golden_cases(), GOLDEN_ESCAPED: escaped_cases()}
@@ -164,17 +174,27 @@ CASES = [(path, name, argv) for path, cases in GOLDEN_FILES.items()
 
 def test_golden_file_names_every_case():
     for path, cases in GOLDEN_FILES.items():
-        assert sorted(_golden(path)) == sorted(name for name, _ in cases)
+        assert sorted(load_golden(path)) == sorted(name for name, _ in cases)
 
 
 @pytest.mark.parametrize("path, name, argv", CASES, ids=[name for _, name, _ in CASES])
 def test_cli_output_matches_golden(path, name, argv):
-    expected = _golden(path)[name]
+    expected = load_golden(path)[name]
     assert expected["argv"] == argv
     actual = run_case(argv)
     assert actual["stdout"] == expected["stdout"]
     assert actual["stderr"] == expected["stderr"]
     assert actual["exit"] == expected["exit"]
+
+
+def test_review_equals_classify_with_overlay():
+    for path, prefix in ((GOLDEN, ""), (GOLDEN_ESCAPED, "escaped-")):
+        golden = load_golden(path)
+        for suffix in ("xml-text", "xml-records", "tab-text", "tab-records"):
+            review = golden[f"{prefix}review-{suffix}"]
+            classify = golden[f"{prefix}classify-overlay-{suffix}"]
+            for key in ("stdout", "stderr", "exit"):
+                assert review[key] == classify[key], (prefix + suffix, key)
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ from .oracles import (
     random_register_text,
     validate_register_inline,
 )
-from .test_cli_golden import GOLDEN, _golden, run_case
+from .test_cli_golden import GOLDEN, load_golden, run_case
 
 
 def assert_matches_reference(register):
@@ -152,6 +152,6 @@ def test_validation_builds_no_graph(monkeypatch, case):
     # with the graph builder and the graph validator out of reach.
     monkeypatch.setattr(riskalign.register, "induced_graph", _no_graph)
     monkeypatch.setattr(riskalign.riskgraph, "validate_structure", _no_graph)
-    expected = _golden(GOLDEN)[case]
+    expected = load_golden(GOLDEN)[case]
     actual = run_case(expected["argv"])
     assert actual == {key: expected[key] for key in ("stdout", "stderr", "exit")}

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import ast
 import importlib
-import json
 from pathlib import Path
 
 import pytest
@@ -17,6 +16,7 @@ import pytest
 import riskalign
 
 from .launchers import run_python
+from .test_cli_golden import GOLDEN_FILES, load_golden, resolve
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TAB = str(FIXTURES / "lab_model.tab")
@@ -213,10 +213,9 @@ def test_no_command_loads_dataclasses_or_inspect(tmp_path):
 
 
 def test_no_call_loads_argparse_gettext_or_locale():
-    golden = [FIXTURES / "cli_golden.json", FIXTURES / "cli_golden_escaped.json"]
     argvs = [
-        [arg.replace("{fixtures}", str(FIXTURES)) for arg in case["argv"]]
-        for path in golden for case in json.loads(path.read_text("utf-8")).values()
+        resolve(case["argv"])
+        for path in GOLDEN_FILES for case in load_golden(path).values()
     ]
     usage = [["classify", "--model", "m"], ["--help"], ["review", "--help"]]
     code = (
