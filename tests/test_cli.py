@@ -1,8 +1,11 @@
 """Command line behavior: exit codes, output formats, error reporting.
 
-A command line's stdout, stderr and exit code are checked in one place, the
-golden table of tests/test_cli_golden.py. A test stays here, in-process or
-as a child process, only when it checks what that table cannot:
+The golden table of tests/test_cli_golden.py checks every golden command
+line's stdout, stderr and exit code byte for byte. The in-process tests
+here that run a golden command line check named parts of its output (a
+first line, a record, an exit code), so a failure says which fact broke.
+New output checks go into the golden table. A new test belongs here only
+when it checks what that table cannot:
 - stream and descriptor failures;
 - --out files and --stamp;
 - inputs that the test writes to tmp_path;
@@ -24,6 +27,27 @@ from riskalign.cli import main
 
 from .launchers import MODULE, SCRIPT, STAND_IN, child_env, run_python
 from .test_cli_golden import GOLDEN, load_golden, resolve
+
+TRACE_R1 = """\
+risk [r1]: Disclosure of biomedical prescription data
+  event [r1::event]: Disclosure of biomedical prescription data event
+    threat: threat
+      threat_agent: Malicious insider
+      attack_method: Unauthorized data access
+      is_asset [do-prescription-data]: Biomedical Prescription Data
+        business_asset [meaning-prescribed-analyses]: Prescribed Analyses via do-prescription-data -> meaning-prescribed-analyses
+          criterion [c1]: Confidentiality of personal information
+    vulnerability: Prescription data stored unencrypted
+      is_asset [do-prescription-data]: Biomedical Prescription Data
+        business_asset [meaning-prescribed-analyses]: Prescribed Analyses via do-prescription-data -> meaning-prescribed-analyses
+          criterion [c1]: Confidentiality of personal information
+  impact: Personal medical information disclosed
+    harmed_asset [product-home-blood-analysis]: Home Blood Analysis
+    criterion [c1]: Confidentiality of personal information
+  treatment [t1]: Reduce the risk by restricting access
+    requirement [q1]: Access control on biomedical analysis prescription
+      control [k1]: Role-based access control module
+"""
 
 
 @pytest.fixture
@@ -49,6 +73,17 @@ def write(tmp_path, name, text):
 
 
 class TestImport:
+    def test_xml_import_writes_tabular_form(self, capsys, lab, fixtures_dir):
+        code, out, err = run(capsys, "import", "--model", lab["model"])
+        assert code == 0
+        assert out == (fixtures_dir / "lab_model.tab").read_text()
+        assert err == ""
+
+    def test_tabular_import_is_idempotent(self, capsys, lab, fixtures_dir):
+        code, out, _ = run(capsys, "import", "--model", lab["tab"])
+        assert code == 0
+        assert out == (fixtures_dir / "lab_model.tab").read_text()
+
     def test_format_sniffing_ignores_leading_whitespace(
         self, capsys, lab, fixtures_dir, tmp_path
     ):
@@ -90,6 +125,51 @@ class TestImport:
 
 
 class TestClassify:
+    def test_text_report(self, capsys, lab):
+        code, out, err = run(
+            capsys, "classify", "--model", lab["model"], "--ruleset", "archimate21"
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "facts: 29"
+        assert lines[1] == (
+            "  ac-mobile-prescription-management (Mobile Prescription Management)"
+            " -> ISAsset [specialisation, definite] archimate21:21"
+        )
+        assert "warning: sh-privacy-regulator" in err
+
+    def test_records_report(self, capsys, lab):
+        code, out, _ = run(
+            capsys,
+            "classify",
+            "--model",
+            lab["model"],
+            "--ruleset",
+            "archimate21",
+            "--format",
+            "records",
+        )
+        assert code == 0
+        assert (
+            "F|dev-tablet|ISAsset|specialisation|definite|archimate21:29"
+            in out.splitlines()
+        )
+
+    def test_overlay_confirms_candidates(self, capsys, lab):
+        code, out, _ = run(
+            capsys,
+            "classify",
+            "--model",
+            lab["model"],
+            "--ruleset",
+            "archimate21",
+            "--overlay",
+            lab["overlay"],
+        )
+        assert code == 0
+        assert "confirmed" in out
+        assert "asm-disclosure-risk" in out
+
     def test_review_requires_an_overlay(self, capsys, lab):
         with pytest.raises(SystemExit) as exc:
             main(["review", "--model", lab["model"], "--ruleset", "archimate21"])
@@ -105,6 +185,23 @@ class TestClassify:
         assert code == 1
         assert "unknown: 1" in out
         assert "w1 (Odd) concept 'wormhole'" in out
+
+    def test_ruleset_may_be_a_file(self, capsys, lab, fixtures_dir):
+        ruleset = str(fixtures_dir / "golden" / "archimate21.rules")
+        code, out, _ = run(
+            capsys, "classify", "--model", lab["model"], "--ruleset", ruleset
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "facts: 29"
+
+    def test_framework_mismatch_is_an_input_error(self, capsys, lab):
+        code, _, err = run(
+            capsys, "classify", "--model", lab["model"], "--ruleset", "togaf91"
+        )
+        assert code == 2
+        assert err.startswith("error:")
+
+
 class TestStamp:
     def test_stamp_prepends_one_generated_line(self, capsys, lab):
         _, plain, _ = run(
@@ -125,7 +222,59 @@ class TestStamp:
             r"# generated \d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z", first
         )
         assert rest == plain
+
+    def test_output_is_reproducible_without_stamp(self, capsys, lab):
+        _, first, _ = run(
+            capsys, "classify", "--model", lab["model"], "--ruleset", "archimate21"
+        )
+        _, second, _ = run(
+            capsys, "classify", "--model", lab["model"], "--ruleset", "archimate21"
+        )
+        assert first == second
+
+
 class TestValidate:
+    def test_warn_only_register_passes(self, capsys, lab):
+        code, out, _ = run(
+            capsys,
+            "validate",
+            "--model",
+            lab["model"],
+            "--ruleset",
+            "archimate21",
+            "--overlay",
+            lab["overlay"],
+            "--register",
+            lab["register"],
+        )
+        assert code == 0
+        assert out == (
+            "violations: 1\n"
+            "  WARN THR_INCOMPLETE [r2::threat] threat in an event lacks an"
+            " agent or attack method\n"
+        )
+
+    def test_records_format(self, capsys, lab):
+        code, out, _ = run(
+            capsys,
+            "validate",
+            "--model",
+            lab["model"],
+            "--ruleset",
+            "archimate21",
+            "--overlay",
+            lab["overlay"],
+            "--register",
+            lab["register"],
+            "--format",
+            "records",
+        )
+        assert code == 0
+        assert out == (
+            "V|WARN|THR_INCOMPLETE|r2::threat|threat in an event lacks an"
+            " agent or attack method\n"
+        )
+
     def test_error_findings_exit_one(self, capsys, lab, tmp_path):
         register = write(
             tmp_path,
@@ -308,6 +457,28 @@ class TestReport:
         )
         assert code == 0
         assert out == "U|ev1|event|Launch|\n"
+
+    def test_coverage(self, capsys, lab):
+        code, out, _ = run(
+            capsys,
+            "report",
+            "coverage",
+            "--model",
+            lab["model"],
+            "--ruleset",
+            "archimate21",
+            "--overlay",
+            lab["overlay"],
+            "--register",
+            lab["register"],
+            "--format",
+            "records",
+        )
+        assert code == 0
+        assert out.startswith("C|is_asset_count|14\n")
+        assert "C|vulnerability_ratio|0.1429\n" in out
+        assert out.endswith("C|unknown_count|0\n")
+
     def test_coverage_requires_a_register(self, capsys, lab):
         code, _, err = run(
             capsys,
@@ -323,6 +494,23 @@ class TestReport:
 
 
 class TestTrace:
+    def test_full_tree_text(self, capsys, lab):
+        code, out, _ = run(
+            capsys,
+            "trace",
+            "r1",
+            "--model",
+            lab["model"],
+            "--ruleset",
+            "archimate21",
+            "--overlay",
+            lab["overlay"],
+            "--register",
+            lab["register"],
+        )
+        assert code == 0
+        assert out == TRACE_R1
+
     def test_supports_kinds_limits_the_walk(self, capsys, lab):
         code, out, _ = run(
             capsys,
@@ -342,6 +530,30 @@ class TestTrace:
         assert code == 0
         assert "business_asset" not in out
         assert "is_asset [do-prescription-data]" in out
+
+    def test_records_format(self, capsys, lab):
+        code, out, _ = run(
+            capsys,
+            "trace",
+            "r2",
+            "--model",
+            lab["model"],
+            "--ruleset",
+            "archimate21",
+            "--overlay",
+            lab["overlay"],
+            "--register",
+            lab["register"],
+            "--format",
+            "records",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == (
+            "T|0|risk|r2|Tablet stolen during a home visit|UNTREATED"
+        )
+        assert lines[2] == "T|2|threat||threat|INCOMPLETE"
+
     def test_unknown_risk(self, capsys, lab):
         code, out, err = run(
             capsys,
@@ -749,6 +961,36 @@ class TestXmlRecordChecks:
             "warning: element 'dev-tablet' repeats property key 'os'; "
             "the last value is kept\n"
         )
+
+
+class TestUsage:
+    def test_no_arguments(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
+
+    def test_unknown_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["frobnicate"])
+        assert exc.value.code == 2
+
+    def test_missing_required_option(self, capsys, lab):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--model", lab["model"]])
+        assert exc.value.code == 2
+
+    def test_bad_format_choice(self, capsys, lab):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "import",
+                    "--model",
+                    lab["model"],
+                    "--format",
+                    "yaml",
+                ]
+            )
+        assert exc.value.code == 2
 
 
 class TestOutFiles:

@@ -7,8 +7,8 @@ tests/fixtures/cli_golden_escaped.json. Paths in the argument lists are
 written relative to tests/fixtures as "{fixtures}/...". --stamp is left out
 because its output carries the current time.
 
-This table is the one home for a command line's output. Other test modules
-read the golden files through load_golden and resolve only. To add a case,
+New checks of a command line's output go into this table. Other test
+modules read the golden files through load_golden and resolve only. To add a case,
 add its argv to golden_cases() (or escaped_cases()), then rewrite the golden
 files, as after a deliberate output change, with
 
