@@ -440,42 +440,24 @@ def validate_register(register: RiskRegister) -> list[Violation]:
         check_whole(found, case.id, ISSRMConcept.RISK,
                     [ISSRMConcept.EVENT] + [ISSRMConcept.IMPACT] * len(case.impacts))
 
+    # A criterion may only constrain confirmed business assets.
+    business = classification.definite_elements(ISSRMConcept.BUSINESS_ASSET)
+    asset_claims = {ISSRMConcept.ASSET, ISSRMConcept.BUSINESS_ASSET}
     for crit in register.criteria:
         for element_id in crit.constrains:
-            found.update(_criterion_binding(classification, crit.id, element_id))
+            if element_id in business:
+                continue
+            if any(fact.tier in (Tier.DEFINITE, Tier.CANDIDATE)
+                   and asset_claims & target_concepts(fact.target)
+                   for fact in classification.facts_for(element_id)):
+                found.add(Violation(
+                    "CRIT_ON_UNCONFIRMED", (crit.id, element_id),
+                    f"criterion {crit.id!r} constrains {element_id!r}, whose "
+                    "business-asset classification is not confirmed"))
+            else:
+                found.add(Violation(
+                    "CRIT_NOT_ON_BIZASSET", (crit.id, element_id),
+                    f"criterion {crit.id!r} constrains {element_id!r}, which is not "
+                    "classified as a business asset"))
 
     return sorted(found, key=Violation.sort_key)
-
-
-def _criterion_binding(
-    classification: ClassificationSet, crit_id: str, element_id: str
-) -> list[Violation]:
-    """A criterion may only constrain confirmed business assets."""
-    from .riskgraph import Violation
-
-    if element_id in classification.definite_elements(ISSRMConcept.BUSINESS_ASSET):
-        return []
-    asset_tiers = {
-        concept
-        for fact in classification.facts_for(element_id)
-        if fact.tier in (Tier.DEFINITE, Tier.CANDIDATE)
-        for concept in target_concepts(fact.target)
-        if concept in ASSET_KINDS
-    }
-    if ISSRMConcept.BUSINESS_ASSET in asset_tiers or ISSRMConcept.ASSET in asset_tiers:
-        return [
-            Violation(
-                "CRIT_ON_UNCONFIRMED",
-                (crit_id, element_id),
-                f"criterion {crit_id!r} constrains {element_id!r}, whose "
-                "business-asset classification is not confirmed",
-            )
-        ]
-    return [
-        Violation(
-            "CRIT_NOT_ON_BIZASSET",
-            (crit_id, element_id),
-            f"criterion {crit_id!r} constrains {element_id!r}, which is not "
-            "classified as a business asset",
-        )
-    ]

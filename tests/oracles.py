@@ -15,7 +15,9 @@ checked every id and endpoint again as parse_tabular_checked_twice.
 validate_register_inline is the graph-based reference for validate_register,
 which finds the same findings in one pass over the register without a graph:
 it validates the structure of induced_graph_inline, then runs the binding
-checks. The
+checks. Both compute the concept an element binds as (binding_concepts) and
+a criterion's verdict from their own scans of the classification's facts,
+not with the register code they check. The
 record readers that stepped through each escaped line one character at a
 time live on as unescape_by_char, split_escaped_by_char and the readers
 built on them, and the writer that escaped each field on its own as
@@ -84,8 +86,6 @@ from riskalign.mappings import (
     target_concepts,
 )
 from riskalign.register import (
-    _criterion_binding,
-    bound_concept,
     induced_graph,
     parse_risk_catalog,
     validate_register,
@@ -791,6 +791,22 @@ def import_archimate_tree(data: str | bytes, source: str = "") -> EAModel:
 # --- register graph and validation with every part and derived id inline ----------
 
 
+def binding_concepts(classification) -> dict[str, ISSRMConcept]:
+    """The concept each element takes when a register binds it, from a fact scan.
+
+    An element definite as an IS asset binds as ISAsset, even when it is also
+    definite as a business asset; one definite as a business asset only binds
+    as BusinessAsset. Elements missing here bind as plain Asset.
+    """
+    concepts = dict.fromkeys(
+        definite_set(classification, ISSRMConcept.BUSINESS_ASSET),
+        ISSRMConcept.BUSINESS_ASSET,
+    )
+    for element_id in definite_set(classification, ISSRMConcept.IS_ASSET):
+        concepts[element_id] = ISSRMConcept.IS_ASSET
+    return concepts
+
+
 def induced_graph_inline(register) -> RiskGraph:
     """Build the risk graph a register implies over its model.
 
@@ -800,7 +816,7 @@ def induced_graph_inline(register) -> RiskGraph:
     induced; criterion bindings are checked against the classification
     directly by validate_register.
     """
-    classification = register.classification
+    concepts = binding_concepts(register.classification)
     entities: dict[str, Entity] = {}
     relations: list[Relation] = []
 
@@ -808,7 +824,7 @@ def induced_graph_inline(register) -> RiskGraph:
         if element_id not in entities:
             element = register.model.element(element_id)
             entities[element_id] = Entity(
-                element_id, bound_concept(classification, element_id), element.name
+                element_id, concepts.get(element_id, ISSRMConcept.ASSET), element.name
             )
         return element_id
 
@@ -928,9 +944,39 @@ def validate_register_inline(register) -> list[Violation]:
                         )
                     )
 
+    # A criterion binding holds on a definite business asset. Any other
+    # element with a definite or candidate Asset or BusinessAsset fact is an
+    # unconfirmed one; related and annotation facts count for nothing.
+    business = definite_set(classification, ISSRMConcept.BUSINESS_ASSET)
+    unconfirmed = set()
+    for fact in classification.facts:
+        concepts = target_concepts(fact.target)
+        if fact.tier in (Tier.DEFINITE, Tier.CANDIDATE) and (
+            ISSRMConcept.ASSET in concepts or ISSRMConcept.BUSINESS_ASSET in concepts
+        ):
+            unconfirmed.add(fact.element_id)
     for crit in register.criteria:
         for element_id in crit.constrains:
-            found.update(_criterion_binding(classification, crit.id, element_id))
+            if element_id in business:
+                continue
+            if element_id in unconfirmed:
+                found.add(
+                    Violation(
+                        "CRIT_ON_UNCONFIRMED",
+                        (crit.id, element_id),
+                        f"criterion {crit.id!r} constrains {element_id!r}, whose "
+                        "business-asset classification is not confirmed",
+                    )
+                )
+            else:
+                found.add(
+                    Violation(
+                        "CRIT_NOT_ON_BIZASSET",
+                        (crit.id, element_id),
+                        f"criterion {crit.id!r} constrains {element_id!r}, which "
+                        "is not classified as a business asset",
+                    )
+                )
 
     return sorted(found, key=Violation.sort_key)
 

@@ -5,6 +5,7 @@ from riskalign.classify import apply_review, classify_model, parse_overlay
 from riskalign.concepts import ISSRMConcept as C
 from riskalign.eamodel import parse_tabular
 from riskalign.errors import CatalogFormatError, UnknownRiskError
+from riskalign.mappings import serialize_target
 from riskalign.register import (
     ControlSpec,
     RequirementSpec,
@@ -238,12 +239,34 @@ def test_bound_element_ids_may_not_take_derived_names(line):
     )
 
 
+def capability_classification():
+    # A dodaf202 capability maps to ISAsset+BusinessAsset by equivalence, so
+    # it is definite as both an IS asset and a business asset.
+    model = parse_tabular("FRAMEWORK|dodaf202\nE|cap|capability|Home blood analysis|\n")
+    return classify_model(builtin_ruleset("dodaf202"), model)
+
+
 def test_bound_concept_prefers_strongest_definite(lab_reviewed):
+    assert bound_concept(capability_classification(), "cap") is C.IS_ASSET
     assert bound_concept(lab_reviewed, "dev-tablet") is C.IS_ASSET
     assert bound_concept(lab_reviewed, "bs-home-blood-taking") is C.BUSINESS_ASSET
     # candidate-only elements fall back to plain Asset
     assert bound_concept(lab_reviewed, "pri-data-privacy-directive") is C.ASSET
     assert bound_concept(lab_reviewed, "goal-confidentiality-personal-info") is C.ASSET
+
+
+def test_element_definite_as_both_assets_binds_as_is_asset():
+    text = (
+        "RISK|x1|Risk\n"
+        "THREAT|x1|Thief|Theft|cap\n"
+        "VULN|x1|weak lock|cap\n"
+        "IMPACT|x1|loss|cap|\n"
+    )
+    reg = register_from(text, capability_classification())
+    # bound as BusinessAsset, cap would give THR_TARGET_NOT_ISASSET and
+    # VULN_NOT_ON_ISASSET
+    assert validate_register(reg) == []
+    assert induced_graph(reg).entity("cap").concept is C.IS_ASSET
 
 
 def test_induced_graph_shape(lab_register):
@@ -341,6 +364,31 @@ def test_review_refinement_unlocks_criterion_binding(lab_classification, lab_rev
     assert [v.code for v in validate_register(before)] == ["CRIT_ON_UNCONFIRMED"]
     after = register_from(catalog, lab_reviewed)
     assert validate_register(after) == []
+
+
+def test_criterion_rule_counts_no_related_or_annotation_fact():
+    model = parse_tabular(
+        "FRAMEWORK|archimate21\n"
+        "E|stakeholder|stakeholder|Privacy Regulator|\n"
+        "E|value|value|Home care|\n"
+        "E|goal|goal|Confidentiality of personal information|\n"
+    )
+    classification = classify_model(builtin_ruleset("archimate21"), model)
+    # A blank mapping type makes a related fact and an attribute target an
+    # annotation one, so no element has an asset fact the rule counts.
+    assert sorted((f.element_id, serialize_target(f.target), f.tier.value)
+                  for f in classification.facts) == [
+        ("goal", "SecurityObjective", "related"),
+        ("stakeholder", "Asset", "related"),
+        ("value", "BusinessAsset::value", "annotation"),
+    ]
+    reg = register_from("CRIT|cx|Integrity|stakeholder,value,goal\n", classification)
+    assert [(v.code, v.subjects, v.message) for v in validate_register(reg)] == [
+        ("CRIT_NOT_ON_BIZASSET", ("cx", element_id),
+         f"criterion 'cx' constrains {element_id!r}, which is not classified "
+         "as a business asset")
+        for element_id in ("goal", "stakeholder", "value")
+    ]
 
 
 def test_impact_harming_unclassified_element_flagged(lab_reviewed):

@@ -5,6 +5,9 @@ sides, so they cannot see a change in the graph a register induces or in the
 findings validation adds; these tests compare against the copies in oracles.
 validate_register finds its findings without building the graph, and
 validate_register_inline finds them on the graph, so each checks the other.
+The reference computes each element's bound concept and each criterion
+binding's verdict itself, from a scan of the facts, so a change to the
+binding priority or to the tiers the criterion rule counts shows here too.
 """
 
 import importlib
