@@ -312,6 +312,8 @@ def _emit(text: str, out: str | None = None, stamp: bool = False) -> None:
             raise InputError(
                 f"cannot write standard output: {exc.strerror or exc}"
             ) from None
+        except UnicodeEncodeError as exc:  # stdout's encoding lacks a character
+            raise InputError(f"cannot write standard output: {exc}") from None
 
 
 def _report(args: SimpleNamespace, render_text: Callable[..., str],

@@ -13,6 +13,7 @@ when it checks what that table cannot:
 """
 
 import errno
+import io
 import os
 import pyexpat
 import re
@@ -70,6 +71,14 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+# A model whose report an ASCII stdout cannot encode, and the error it gives.
+ACCENTED_MODEL = "FRAMEWORK|archimate21\nE|v|value|Soins \u00e0 domicile|\n"
+ASCII_STDOUT_ERROR = (
+    "error: cannot write standard output: 'ascii' codec can't encode character "
+    "'\\xe0' in position 38: ordinal not in range(128)\n"
+)
 
 
 class TestImport:
@@ -1153,6 +1162,16 @@ class EntryPointChecks(Launched):
         )
         assert (child.returncode, child.stdout) == (2, "")
 
+    def test_unencodable_report_exits_two_with_one_error_line(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("PYTHONIOENCODING", "ascii")
+        model = write(tmp_path, "accented.tab", ACCENTED_MODEL)
+        child = self.spawn(["import", "--model", model], capture_output=True)
+        assert (child.returncode, child.stdout, child.stderr) == (
+            2, "", ASCII_STDOUT_ERROR
+        )
+
     def test_warnings_without_a_stderr_descriptor_stay_off_stdout(
         self, capsys, fixtures_dir
     ):
@@ -1273,6 +1292,14 @@ class TestUnwritableStdout(FullDeviceChecks):
             assert capsys.readouterr().err == (
                 "error: cannot write standard output: No space left on device\n"
             )
+
+    def test_unencodable_report_is_an_input_error(self, capsys, monkeypatch, tmp_path):
+        model = write(tmp_path, "accented.tab", ACCENTED_MODEL)
+        written = io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(written, encoding="ascii"))
+        code = main(["import", "--model", model])
+        assert (code, capsys.readouterr().err) == (2, ASCII_STDOUT_ERROR)
+        assert written.getvalue() == b""
 
 
 class TestConsoleScript(EntryPointChecks, ClosedPipeChecks, FullDeviceChecks):

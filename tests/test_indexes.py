@@ -1,6 +1,11 @@
-"""The indexed lookups and single-pass checks equal the scans they replaced."""
+"""The indexed lookups and single-pass checks equal the scans they replaced.
+
+check_against_scans also runs each seeded model's register, on all four
+frameworks, through the graph reference (assert_register_matches_reference).
+"""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,15 +21,27 @@ from riskalign.riskgraph import (
     validate_structure,
 )
 
-from .oracles import check_against_scans, event_part_findings, random_model
+from .oracles import (
+    EVENT_SHAPES,
+    check_against_scans,
+    event_part_findings,
+    random_model,
+)
 
 
 def test_indexed_pipeline_matches_scans_on_random_models():
     ruleset = builtin_ruleset("archimate21")
+    shapes = Counter()
     for seed in range(150):
         rng = random.Random(seed)
         model = random_model(rng, max_elements=25, framework="archimate21")
-        check_against_scans(ruleset, model, rng)
+        register = check_against_scans(ruleset, model, rng)
+        shapes.update(
+            (case.threat is not None, len(case.vulnerabilities))
+            for case in register.risks
+        )
+    # Bare, threat-only and vulnerability-only risks reach the reference too.
+    assert all(shapes[shape] >= 20 for shape in EVENT_SHAPES), shapes
 
 
 # What each framework's pool must reach for the differential to cover it.
