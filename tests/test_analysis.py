@@ -1,6 +1,7 @@
 """Tests for impact propagation, risk tracing, and coverage reporting."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +61,20 @@ class TestImpactPropagationLab:
     def test_tablet_reaches_two_business_assets(self, lab_classification):
         reached = impact_propagation(lab_classification, ["dev-tablet"])
         assert reached == TABLET_PATHS
+
+    def test_readme_library_example(self, fixtures_dir, tmp_path, monkeypatch,
+                                     capsys):
+        # README's "Library use" block, run on the lab model as model.xml.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Library use\n\n```python\n", 1)[1].split("```", 1)[0]
+        model = (fixtures_dir / "lab_model.xml").read_bytes()
+        (tmp_path / "model.xml").write_bytes(model)
+        monkeypatch.chdir(tmp_path)
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out.splitlines() == [
+            f"{asset} via {' -> '.join(path)}"
+            for asset, path in sorted(TABLET_PATHS.items())
+        ]
 
     def test_data_object_supports_meaning_directly(self, lab_classification):
         reached = impact_propagation(lab_classification, ["do-prescription-data"])

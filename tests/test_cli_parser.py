@@ -1,7 +1,7 @@
 """The CLI's command table parser against the argparse parser it replaced.
 
 tests/oracles.py keeps that parser as build_parser_argparse. A hypothesis
-test draws command lines from the grammar and checks that both parsers
+test draws command lines from the table's grammar and checks that both parsers
 accept or reject each one alike and, on accept, produce the same values.
 "--" and values that start with "-" are pinned by explicit examples
 instead, because argparse's handling of them has shifted across 3.10-3.13;
@@ -22,30 +22,21 @@ from riskalign.cli import _parse_args, main
 
 from .oracles import build_parser_argparse
 
-REQUIRED = {
-    "import": ["--model"],
-    "classify": ["--model", "--ruleset"],
-    "review": ["--model", "--ruleset", "--overlay"],
-    "validate": ["--model", "--ruleset", "--register"],
-    "report": ["--model", "--ruleset"],
-    "trace": ["--model", "--ruleset", "--register"],
-    "query": ["--model", "--ruleset"],
-}
-POSITIONALS = {
-    "report": [("unmapped", "coverage")],
-    "trace": [("r1",)],
-    "query": [("supports", "facts", "neighbors"), ("e1",)],
-}
+# The grammar, drawn from the command table. Each accepted parse compares
+# every value with the argparse reference, so a mismatch in any argument fails.
+REQUIRED = {name: [arg[0] for arg in args if arg[0][0] == "-" and arg[2]]
+            for name, (_, _, args) in cli._COMMANDS.items()}
+# A positional without choices takes a fixed token.
+POSITIONALS = {name: [arg[3] or ("r1",) for arg in args if arg[0][0] != "-"]
+               for name, (_, _, args) in cli._COMMANDS.items()}
 # Every option of any command, so a command also meets options it lacks.
-OPTIONS = (
-    "--model", "--ruleset", "--overlay", "--register", "--supports-kinds", "--out",
-    "--format", "--stamp", "--direction", "--bogus",
-)
+OPTIONS = (*dict.fromkeys(arg[0] for _, _, args in cli._COMMANDS.values()
+                          for arg in args if arg[0][0] == "-"), "--bogus")
 VALUES = (
     "m", "text", "records", "yaml", "both", "incoming", "unmapped", "coverage",
     "facts", "supports", "bogus", "r1", "a=b", "", "x y",
 )
-COMMANDS = [*REQUIRED, "frobnicate", "rep"]
+COMMANDS = [*cli._COMMANDS, "frobnicate", "rep"]
 
 
 def outcome(parse, argv: list[str]) -> tuple:

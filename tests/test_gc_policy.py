@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import gc
 import io
-import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -21,7 +20,8 @@ import pytest
 
 from riskalign.cli import main
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from .benchinputs import register_inputs
+
 SIZES = (1000, 8000)
 COMMANDS = {"validate": ["validate"], "coverage": ["report", "coverage"], "trace": ["trace"]}
 
@@ -29,32 +29,12 @@ COMMANDS = {"validate": ["validate"], "coverage": ["report", "coverage"], "trace
 @pytest.fixture(scope="module")
 def registers(tmp_path_factory):
     """Per size, the model, overlay and register options and the first
-    risk id, from perfbench's generator."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.syspath_prepend(str(PERFBENCH))
-        for name in ("gen", "oracle"):
-            patch.delitem(sys.modules, name, raising=False)
-        import gen
-        import oracle
-
-        inputs = {}
-        for n in SIZES:
-            rng = random.Random(n)
-            model = gen.register_model(rng, n)
-            overlay = gen.review_overlay(rng, model)
-            register = gen.risk_register(rng, oracle.Expected(model, overlay).roles(), n // 20)
-            root = tmp_path_factory.mktemp(f"register{n}")
-            texts = {
-                "model": gen.tabular_text(model),
-                "overlay": gen.overlay_text(overlay),
-                "register": gen.register_text(register),
-            }
-            for kind, text in texts.items():
-                (root / kind).write_text(text, encoding="utf-8")
-            options = [f"--{kind}={root / kind}" for kind in texts]
-            inputs[n] = (options, register.risks[0].id)
-        for name in ("gen", "oracle"):
-            sys.modules.pop(name, None)
+    risk id, drawn as register_3k draws them."""
+    inputs = {}
+    for n in SIZES:
+        paths, _, risk_id = register_inputs(tmp_path_factory.mktemp(f"register{n}"),
+                                            n, n, n // 20)
+        inputs[n] = ([f"--{kind}={path}" for kind, path in paths.items()], risk_id)
     return inputs
 
 

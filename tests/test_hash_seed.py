@@ -8,17 +8,15 @@ under two fixed seeds and must print the same bytes and exit the same way.
 
 from __future__ import annotations
 
-import random
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
+from .benchinputs import register_inputs
 from .launchers import MODULE, child_env
 
 FIXTURES = Path(__file__).parent / "fixtures"
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 LAB = [
     "--model", str(FIXTURES / "lab_model.tab"), "--ruleset", "archimate21",
     "--overlay", str(FIXTURES / "lab.overlay"),
@@ -54,28 +52,8 @@ def test_lab_output_is_the_same_under_every_hash_seed(command):
 @pytest.fixture(scope="module")
 def register_1k(tmp_path_factory):
     """Model, overlay and register options for a seeded 1k perfbench model."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.syspath_prepend(str(PERFBENCH))
-        for name in ("gen", "oracle"):
-            patch.delitem(sys.modules, name, raising=False)
-        import gen
-        import oracle
-
-        rng = random.Random(1000)
-        model = gen.register_model(rng, 1000)
-        overlay = gen.review_overlay(rng, model)
-        register = gen.risk_register(rng, oracle.Expected(model, overlay).roles(), 50)
-        root = tmp_path_factory.mktemp("register1k")
-        texts = {
-            "model": gen.tabular_text(model),
-            "overlay": gen.overlay_text(overlay),
-            "register": gen.register_text(register),
-        }
-        for name in ("gen", "oracle"):
-            sys.modules.pop(name, None)
-    for kind, text in texts.items():
-        (root / kind).write_text(text, encoding="utf-8")
-    return [f"--{kind}={root / kind}" for kind in texts]
+    paths, _, _ = register_inputs(tmp_path_factory.mktemp("register1k"), 1000, 1000, 50)
+    return [f"--{kind}={path}" for kind, path in paths.items()]
 
 
 def test_register_validate_is_the_same_under_every_hash_seed(register_1k):

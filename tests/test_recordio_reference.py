@@ -11,8 +11,6 @@ references on perfbench's escape-heavy trace models.
 from __future__ import annotations
 
 import random
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,8 +20,8 @@ from riskalign.eamodel import export_tabular, parse_tabular
 from riskalign.errors import LineError
 
 from . import oracles
+from .benchinputs import modules
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 ALPHABET = "\\\\\\|;=\r01a "  # backslash three times as likely as the rest
 DRAWS = 100_000
 
@@ -141,15 +139,11 @@ def test_readers_reject_a_line_break(read, text):
 @pytest.fixture(scope="module")
 def trace_texts() -> list[str]:
     """Tabular texts of seeded perfbench trace models, half the names escaped."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.syspath_prepend(str(PERFBENCH))
-        patch.delitem(sys.modules, "gen", raising=False)
+    with modules():
         import gen
 
-        texts = [gen.tabular_text(gen.trace_model(random.Random(seed), 400))
-                 for seed in range(8)]
-        sys.modules.pop("gen", None)
-    return texts
+        return [gen.tabular_text(gen.trace_model(random.Random(seed), 400))
+                for seed in range(8)]
 
 
 def test_tabular_parse_and_export_match_reference(trace_texts):

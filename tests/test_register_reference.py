@@ -9,11 +9,7 @@ The reference computes bound concepts and criterion verdicts from its own
 scans of the facts, so a changed binding priority or criterion tier shows.
 """
 
-import importlib
-import random
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -24,42 +20,25 @@ from riskalign.classify import apply_review, classify_model, parse_overlay
 from riskalign.eamodel import parse_tabular
 from riskalign.register import parse_risk_catalog, validate_register
 
+from .benchinputs import register_inputs
 from .oracles import assert_register_matches_reference
 from .test_cli_golden import GOLDEN, load_golden, run_case
 
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-@pytest.fixture
-def perfbench_gen(monkeypatch):
-    """perfbench's gen and oracle modules, imported from this checkout."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    for name in ("gen", "oracle"):
-        monkeypatch.delitem(sys.modules, name, raising=False)
-    yield importlib.import_module("gen"), importlib.import_module("oracle")
-    for name in ("gen", "oracle"):
-        sys.modules.pop(name, None)
-
-
 @pytest.mark.parametrize("seed", [1, 2])
-def test_benchmark_sized_registers(perfbench_gen, seed):
+def test_benchmark_sized_registers(tmp_path, seed):
     # The register_3k inputs: 3,000 elements, an overlay and 150 risks with
-    # planted defects, drawn in the order the workload draws them.
-    gen, oracle = perfbench_gen
-    rng = random.Random(seed)
-    model = gen.register_model(rng, 3000)
-    overlay = gen.review_overlay(rng, model)
-    planted = gen.risk_register(rng, oracle.Expected(model, overlay).roles(), 150)
+    # planted defects.
+    paths, planted, _ = register_inputs(tmp_path, seed, 3000, 150)
+    text = {kind: path.read_text(encoding="utf-8") for kind, path in paths.items()}
     classification = apply_review(
-        classify_model(builtin_ruleset("archimate21"),
-                       parse_tabular(gen.tabular_text(model))),
-        parse_overlay(gen.overlay_text(overlay)),
+        classify_model(builtin_ruleset("archimate21"), parse_tabular(text["model"])),
+        parse_overlay(text["overlay"]),
     )
-    register = parse_risk_catalog(gen.register_text(planted), classification)
+    register = parse_risk_catalog(text["register"], classification)
     assert len(register.risks) == 150
     assert_register_matches_reference(register)
-    assert Counter(v.code for v in validate_register(register)) == planted.planted
+    assert Counter(v.code for v in validate_register(register)) == planted
 
 
 def _no_graph(*args, **kwargs):
