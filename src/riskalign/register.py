@@ -29,7 +29,6 @@ which names the entities induced_graph derives from a risk.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, TypeVar
 
 from .classify import ClassificationSet, Tier
@@ -118,14 +117,10 @@ class RiskRegister:
         return self.classification.model
 
     def risk(self, risk_id: str) -> RiskCase:
-        try:
-            return self._risks_by_id[risk_id]
-        except KeyError:
-            raise UnknownRiskError(f"unknown risk id {risk_id!r}") from None
-
-    @cached_property
-    def _risks_by_id(self) -> dict[str, RiskCase]:
-        return {case.id: case for case in self.risks}
+        for case in self.risks:
+            if case.id == risk_id:
+                return case
+        raise UnknownRiskError(f"unknown risk id {risk_id!r}")
 
 
 # Fields per catalog record, the tag included.
@@ -265,11 +260,7 @@ def _known(records: Mapping[str, _Record], what: str, record_id: str,
 # --- induced graph and validation --------------------------------------------------
 
 
-_BINDING_PRIORITY = (
-    ISSRMConcept.IS_ASSET,
-    ISSRMConcept.BUSINESS_ASSET,
-    ISSRMConcept.ASSET,
-)
+_BINDING_PRIORITY = (ISSRMConcept.IS_ASSET, ISSRMConcept.BUSINESS_ASSET)
 
 
 def bound_concept(classification: ClassificationSet, element_id: str) -> ISSRMConcept:

@@ -28,6 +28,8 @@ join_record_per_field; parse_tabular_checked_twice and
 export_tabular_per_field read and write through them. The facts reports
 that rendered every fact's target, mapping type and tier afresh live on as
 render_facts_records_per_fact and render_facts_text_per_fact.
+build_parser_argparse hands argparse the grammar of cli._COMMANDS, so the
+table parser is checked against argparse's algorithm on the same grammar.
 """
 
 import argparse
@@ -39,7 +41,7 @@ from collections import defaultdict
 
 from riskalign.analysis import TraceNode, impact_propagation, trace
 from riskalign.archimate_xml import _XSI_TYPE, ELEMENT_TOKENS
-from riskalign import recordio
+from riskalign import cli, recordio
 from riskalign.classify import (
     ClassificationFact,
     ClassificationSet,
@@ -51,17 +53,8 @@ from riskalign.classify import (
     tier_of,
     unmapped_report,
 )
-from riskalign.cli import (
-    _cmd_classify,
-    _cmd_import,
-    _cmd_query,
-    _cmd_report,
-    _cmd_trace,
-    _cmd_validate,
-)
 from riskalign.concepts import ASSET_KINDS, ISSRMConcept
 from riskalign.eamodel import (
-    FRAMEWORKS,
     EAElement,
     EAModel,
     EARelationship,
@@ -1226,104 +1219,26 @@ def parse_tabular_checked_twice(text: str, source: str = "") -> EAModel:
     return EAModel(framework, elements, relationships, source=source)
 
 
-# --- the argparse parser the command table replaced ------------------------------
+# --- argparse given the command table's grammar ------------------------------------
 
 
 def build_parser_argparse() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="riskalign",
-        description="Classify architecture models into security risk roles "
-        "and analyze risk traceability.",
-    )
+    """argparse's parser for the grammar of cli._COMMANDS: one subparser per
+    command, its arguments added in table order."""
+    parser = argparse.ArgumentParser(prog="riskalign", description=cli._TOP[1])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    model_opts = argparse.ArgumentParser(add_help=False)
-    model_opts.add_argument("--model", required=True, help="model file (XML or tabular)")
-
-    ruleset_opts = argparse.ArgumentParser(add_help=False)
-    ruleset_opts.add_argument(
-        "--ruleset",
-        required=True,
-        help="builtin ruleset id (%s) or a ruleset file path" % ", ".join(FRAMEWORKS),
-    )
-
-    overlay_opts = argparse.ArgumentParser(add_help=False)
-    overlay_opts.add_argument("--overlay", help="review overlay file")
-
-    out_opts = argparse.ArgumentParser(add_help=False)
-    out_opts.add_argument("--out", help="output file (default: stdout)")
-    out_opts.add_argument(
-        "--format", choices=("text", "records"), default="text", help="output format"
-    )
-    out_opts.add_argument(
-        "--stamp", action="store_true", help="prepend a generation timestamp"
-    )
-
-    register_opts = argparse.ArgumentParser(add_help=False)
-    register_opts.add_argument("--register", required=True, help="risk catalog file")
-
-    kinds_opts = argparse.ArgumentParser(add_help=False)
-    kinds_opts.add_argument(
-        "--supports-kinds",
-        help="comma-separated relationship kinds the supports walk may use "
-        "(default: all)",
-    )
-
-    p = sub.add_parser(
-        "import", parents=[model_opts, out_opts],
-        help="parse a model and write its tabular form",
-    )
-    p.set_defaults(func=_cmd_import)
-
-    p = sub.add_parser(
-        "classify", parents=[model_opts, ruleset_opts, overlay_opts, out_opts],
-        help="classify model elements into risk roles",
-    )
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser(
-        "review", parents=[model_opts, ruleset_opts, out_opts],
-        help="classify, then apply a review overlay",
-    )
-    p.add_argument("--overlay", required=True, help="review overlay file")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser(
-        "validate",
-        parents=[model_opts, ruleset_opts, overlay_opts, register_opts, out_opts],
-        help="check a risk register against the structural rules",
-    )
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser(
-        "report", parents=[model_opts, ruleset_opts, overlay_opts, out_opts],
-        help="summary reports over a classified model",
-    )
-    p.add_argument("kind", choices=("unmapped", "coverage"))
-    p.add_argument("--register", help="risk catalog file (required for coverage)")
-    p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser(
-        "trace",
-        parents=[model_opts, ruleset_opts, overlay_opts, register_opts, kinds_opts,
-                 out_opts],
-        help="expand one risk into its traceability tree",
-    )
-    p.add_argument("risk_id")
-    p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser(
-        "query",
-        parents=[model_opts, ruleset_opts, overlay_opts, kinds_opts, out_opts],
-        help="point queries: supports, facts, neighbors",
-    )
-    p.add_argument("what", choices=("supports", "facts", "neighbors"))
-    p.add_argument("arg", help="seed ids (supports) or an element id")
-    p.add_argument(
-        "--direction", choices=("outgoing", "incoming", "both"), default="both"
-    )
-    p.set_defaults(func=_cmd_query)
-
+    for command, (func, about, args) in cli._COMMANDS.items():
+        p = sub.add_parser(command, prog=f"riskalign {command}", description=about,
+                           help=about)
+        for name, help_text, required, choices, default in args:
+            if name[0] != "-":
+                p.add_argument(name, help=help_text, choices=choices)
+            elif default is False:
+                p.add_argument(name, action="store_true", help=help_text)
+            else:
+                p.add_argument(name, help=help_text, required=required,
+                               choices=choices, default=default)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -27,7 +27,7 @@ import pytest
 from riskalign.cli import main
 
 from .launchers import MODULE, SCRIPT, STAND_IN, child_env, run_python
-from .test_cli_golden import GOLDEN, load_golden, resolve
+from .test_cli_golden import GOLDEN, GOLDEN_USAGE, load_golden, resolve
 
 TRACE_R1 = """\
 risk [r1]: Disclosure of biomedical prescription data
@@ -1053,20 +1053,13 @@ def validate_argv(lab):
     ]
 
 
-# Golden cases of tests/fixtures/cli_golden.json that a child replays.
+# Golden cases that a child replays, of tests/fixtures/cli_golden.json and
+# of cli_golden_usage.json.
 CHILD_GOLDEN = [
     "import-xml-text", "trace-r1-tab-text", "report-coverage-tab-text",
     "validate-bare-tab-text", "validate-bare-tab-records", "warn-import-text",
 ]
-# Usage calls a child replays: argv, exit code and last stderr line.
-CHILD_USAGE = {
-    "help": (["--help"], 0, ""),
-    "review-help": (["review", "--help"], 0, ""),
-    "classify-no-ruleset": (
-        ["classify", "--model", "m"], 2,
-        "riskalign classify: error: the following arguments are required: --ruleset",
-    ),
-}
+CHILD_USAGE = ["help", "review-help", "classify-no-ruleset"]
 
 
 class Launched:
@@ -1105,19 +1098,10 @@ class EntryPointChecks(Launched):
         assert child.stdout == expected
 
     @pytest.mark.parametrize("name", [*CHILD_GOLDEN, *CHILD_USAGE])
-    def test_child_output_matches_golden(self, capsys, name):
-        if name in CHILD_USAGE:
-            argv, code, last_line = CHILD_USAGE[name]
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            out, err = capsys.readouterr()
-            assert (exc.value.code, err.rstrip("\n").rpartition("\n")[2]) == (code, last_line)
-            expected = (code, out, err)
-        else:
-            case = load_golden(GOLDEN)[name]
-            argv = resolve(case["argv"])
-            expected = (case["exit"], case["stdout"], case["stderr"])
-        child = self.spawn(argv, capture_output=True)
+    def test_child_output_matches_golden(self, name):
+        case = load_golden(GOLDEN_USAGE if name in CHILD_USAGE else GOLDEN)[name]
+        child = self.spawn(resolve(case["argv"]), capture_output=True)
+        expected = (case["exit"], case["stdout"], case["stderr"])
         assert (child.returncode, child.stdout, child.stderr) == expected
 
     def run_without_descriptor(self, fd, argv, **kwargs):

@@ -3,14 +3,18 @@
 Each case runs one command line over the fixtures and compares the result
 with tests/fixtures/cli_golden.json, or, for the cases over the model,
 overlay and register whose ids and texts carry record escapes,
-tests/fixtures/cli_golden_escaped.json. Paths in the argument lists are
-written relative to tests/fixtures as "{fixtures}/...". --stamp is left out
-because its output carries the current time.
+tests/fixtures/cli_golden_escaped.json. Help and usage errors are golden
+output too: tests/fixtures/cli_golden_usage.json holds the top-level help,
+the help of every command in cli._COMMANDS and one usage error, so the help
+cases pin the CLI's grammar and a new command's help lands there by
+construction. Paths in the argument lists are written relative to
+tests/fixtures as "{fixtures}/...". --stamp is left out because its output
+carries the current time.
 
 New checks of a command line's output go into this table. Other test
-modules read the golden files through load_golden and resolve only. To add a case,
-add its argv to golden_cases() (or escaped_cases()), then rewrite the golden
-files, as after a deliberate output change, with
+modules read the golden files through load_golden and resolve only. To add a
+case, add its argv to golden_cases() (or escaped_cases() or usage_cases()),
+then rewrite the golden files, as after a deliberate output change, with
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
 
@@ -28,11 +32,12 @@ from pathlib import Path
 
 import pytest
 
-from riskalign.cli import main
+from riskalign.cli import _COMMANDS, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "cli_golden.json"
 GOLDEN_ESCAPED = FIXTURES / "cli_golden_escaped.json"
+GOLDEN_USAGE = FIXTURES / "cli_golden_usage.json"
 
 MODELS = {"xml": "lab_model.xml", "tab": "lab_model.tab"}
 LAB = ["--ruleset", "archimate21", "--overlay", "{fixtures}/lab.overlay"]
@@ -148,6 +153,16 @@ def escaped_cases() -> list[tuple[str, list[str]]]:
     ]
 
 
+def usage_cases() -> list[tuple[str, list[str]]]:
+    """(case name, argv) for the help of the top level and of every command
+    in the command table, and for one usage error."""
+    return [
+        ("help", ["--help"]),
+        *((f"{command}-help", [command, "--help"]) for command in _COMMANDS),
+        ("classify-no-ruleset", ["classify", "--model", "m"]),
+    ]
+
+
 @functools.lru_cache(maxsize=None)
 def load_golden(path: Path) -> dict:
     """The golden file at path: case name -> argv, stdout, stderr, exit."""
@@ -160,14 +175,19 @@ def resolve(argv: list[str]) -> list[str]:
 
 
 def run_case(argv: list[str]) -> dict:
-    """Run cli.main in-process; returns stdout, stderr and the exit code."""
+    """Run cli.main in-process; returns stdout, stderr and the exit code,
+    which help and usage errors give as SystemExit."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(resolve(argv))
+        try:
+            code = main(resolve(argv))
+        except SystemExit as exc:
+            code = exc.code
     return {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
 
 
-GOLDEN_FILES = {GOLDEN: golden_cases(), GOLDEN_ESCAPED: escaped_cases()}
+GOLDEN_FILES = {GOLDEN: golden_cases(), GOLDEN_ESCAPED: escaped_cases(),
+                GOLDEN_USAGE: usage_cases()}
 CASES = [(path, name, argv) for path, cases in GOLDEN_FILES.items()
          for name, argv in cases]
 

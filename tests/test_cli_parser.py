@@ -1,8 +1,11 @@
-"""The CLI's command table parser against the argparse parser it replaced.
+"""The CLI's command table parser against argparse given the table's grammar.
 
-tests/oracles.py keeps that parser as build_parser_argparse. A hypothesis
-test draws command lines from the table's grammar and checks that both parsers
-accept or reject each one alike and, on accept, produce the same values.
+tests/oracles.py's build_parser_argparse hands argparse the arguments of
+cli._COMMANDS, so the two parse one grammar by different algorithms; the help
+cases of tests/fixtures/cli_golden_usage.json pin the grammar itself. A
+hypothesis test draws command lines from the table's grammar and checks that
+both parsers accept or reject each one alike and, on accept, produce the same
+values.
 "--" and values that start with "-" are pinned by explicit examples
 instead, because argparse's handling of them has shifted across 3.10-3.13;
 so are the usage-error texts, taken from Python 3.11's argparse.

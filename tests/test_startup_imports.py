@@ -16,7 +16,7 @@ import pytest
 import riskalign
 
 from .launchers import run_python
-from .test_cli_golden import GOLDEN_FILES, load_golden, resolve
+from .test_cli_golden import GOLDEN, GOLDEN_ESCAPED, GOLDEN_USAGE, load_golden, resolve
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TAB = str(FIXTURES / "lab_model.tab")
@@ -215,9 +215,10 @@ def test_no_command_loads_dataclasses_or_inspect(tmp_path):
 def test_no_call_loads_argparse_gettext_or_locale():
     argvs = [
         resolve(case["argv"])
-        for path in GOLDEN_FILES for case in load_golden(path).values()
+        for path in (GOLDEN, GOLDEN_ESCAPED) for case in load_golden(path).values()
     ]
-    usage = [["classify", "--model", "m"], ["--help"], ["review", "--help"]]
+    usage_cases = load_golden(GOLDEN_USAGE).values()
+    usage = [case["argv"] for case in usage_cases]
     code = (
         "import contextlib, io, sys\nbare = set(sys.modules)\n"
         "from riskalign import cli\n"
@@ -237,7 +238,7 @@ def test_no_call_loads_argparse_gettext_or_locale():
     (codes, after_golden), (usage_codes, after_usage) = golden_run, usage_run
     assert len(codes) == len(argvs) > 180
     assert set(codes) == {0, 1, 2}
-    assert usage_codes == [2, 0, 0]
+    assert usage_codes == [case["exit"] for case in usage_cases]
     assert "riskalign.archimate_xml" in after_golden
     assert "riskalign.usage" not in after_golden  # only help and usage errors load it
     assert "riskalign.usage" in after_usage
