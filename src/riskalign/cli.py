@@ -219,8 +219,8 @@ def _dest(arg: tuple) -> str:
 
 
 def _read_text(path: str) -> str:
-    """Read a UTF-8 file, dropping a leading byte order mark and translating
-    \\r\\n and \\r line ends to \\n."""
+    """Read a UTF-8 file, dropping a leading byte order mark; line ends are
+    left to recordio.iter_records and to the XML parser."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -232,7 +232,7 @@ def _read_text(path: str) -> str:
         raise InputError(
             f"cannot read {path}: not valid UTF-8 at byte offset {exc.start}"
         ) from None
-    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    return text.removeprefix("\ufeff")
 
 
 def _load_model(path: str) -> EAModel:

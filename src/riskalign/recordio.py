@@ -95,12 +95,12 @@ def _split_line(line: str) -> list[str]:
 def iter_records(text: str) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, fields) for each record line.
 
-    Records are newline delimited; a trailing "\\r" is tolerated so CRLF
-    files parse. Blank lines and lines starting with "#" are skipped. Line
+    A line ends at "\\n", "\\r\\n" or a lone "\\r", for every caller of the
+    record parsers. Blank lines and lines starting with "#" are skipped. Line
     numbers are 1-based over the full text, comments included.
     """
     if "\r" in text:
-        text = text.replace("\r\n", "\n").removesuffix("\r")  # each line's last "\r"
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = enumerate(text.split("\n"), start=1)
     if "\\" in text:
         return ((lineno, _split_line(line)) for lineno, line in lines

@@ -1106,12 +1106,26 @@ def split_record_by_char(line: str) -> list[str]:
 
 
 def iter_records_by_char(text: str):
-    """Yield (line number, fields) for each record line."""
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    """Yield (line number, fields) for each record line.
+
+    One scan splits the lines: "\\n" ends a line, and so does "\\r", which
+    also takes a "\\n" right after it. Blank and "#" lines are skipped.
+    """
+    lines: list[str] = []
+    current: list[str] = []
+    after_cr = False
+    for ch in text:
+        if ch == "\n" and after_cr:  # the end of a "\r\n"
+            after_cr = False
+            continue
+        after_cr = ch == "\r"
+        if ch in "\r\n":
+            lines.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    lines.append("".join(current))
     for lineno, line in enumerate(lines, start=1):
-        line = line.removesuffix("\r")
         if not line.strip() or line.startswith("#"):
             continue
         yield lineno, split_record_by_char(line)

@@ -1,0 +1,129 @@
+"""Planted faults kept as a check: each row plants one fault in a fresh copy
+of the tree and runs the test files that must catch it.
+
+    python3 tests/planted_faults.py
+
+A row holds a file, an exact old text that must occur exactly once in it,
+the new text, and the test files to run. The script first runs every listed
+test file once on an unmodified copy, and that run must pass. Then, for each
+row, it plants the fault in a new temporary copy of src/ and tests/ (with
+perfbench/ and pyproject.toml, which the tests read) and runs the row's
+files. A row is killed when pytest exits 1, that is when a test fails. The
+script prints each row's outcome and exits 1 if any row survives, errors
+(any other exit status, such as a collection error) or has a missing
+anchor. The checkout is only read.
+
+A change that adds a rule or a fast path adds a row.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+
+
+class Fault(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+REGISTER_TESTS = ("tests/test_register.py", "tests/test_indexes.py")
+FAULTS = [
+    Fault("criterion rule counts the related tier", "src/riskalign/register.py",
+          "(Tier.DEFINITE, Tier.CANDIDATE)",
+          "(Tier.DEFINITE, Tier.CANDIDATE, Tier.RELATED)", REGISTER_TESTS),
+    Fault("criterion rule counts the annotation tier", "src/riskalign/register.py",
+          "(Tier.DEFINITE, Tier.CANDIDATE)",
+          "(Tier.DEFINITE, Tier.CANDIDATE, Tier.ANNOTATION)", REGISTER_TESTS),
+    Fault("binding priority swapped", "src/riskalign/register.py",
+          "_BINDING_PRIORITY = (ISSRMConcept.IS_ASSET, ISSRMConcept.BUSINESS_ASSET)",
+          "_BINDING_PRIORITY = (ISSRMConcept.BUSINESS_ASSET, ISSRMConcept.IS_ASSET)",
+          REGISTER_TESTS),
+    Fault("check_whole lets two parts pass", "src/riskalign/riskgraph.py",
+          "if count > 1 and multi_code:", "if count > 2 and multi_code:",
+          ("tests/test_riskgraph.py",)),
+    Fault("import takes --overlay", "src/riskalign/cli.py",
+          '"parse a model and write its tabular form", _MODEL + _OUT),',
+          '"parse a model and write its tabular form", _MODEL + _OUT + _OVERLAY),',
+          ("tests/test_cli_golden.py",)),
+    Fault("an option prefix with two matches is not ambiguous", "src/riskalign/cli.py",
+          "if len(hits) > 1:", "if len(hits) > 2:", ("tests/test_cli_parser.py",)),
+    Fault("a lone carriage return does not end a record line",
+          "src/riskalign/recordio.py",
+          '.replace("\\r", "\\n")', '.removesuffix("\\r")',
+          ("tests/test_recordio.py", "tests/test_recordio_reference.py",
+           "tests/test_cli.py")),
+]
+
+
+def copy_tree(dest: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, dest / name, ignore=skip)
+        else:
+            shutil.copy2(source, dest / name)
+
+
+def run_tests(tests: tuple[str, ...],
+              fault: Fault | None = None) -> tuple[int, str, float]:
+    """pytest's exit status and output on a fresh copy, with fault planted."""
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="planted-") as tmp:
+        tree = Path(tmp)
+        copy_tree(tree)
+        if fault:
+            target = tree / fault.path
+            target.write_text(target.read_text("utf-8").replace(fault.old, fault.new),
+                              "utf-8")
+        env = {**os.environ, "PYTHONPATH": str(tree / "src"),
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             *tests],
+            cwd=tree, env=env, capture_output=True, text=True,
+        )
+    return done.returncode, done.stdout + done.stderr, time.perf_counter() - start
+
+
+def main() -> int:
+    every = tuple(dict.fromkeys(test for fault in FAULTS for test in fault.tests))
+    code, output, seconds = run_tests(every)
+    if code != 0:
+        print(output)
+        print(f"the unmodified copy fails its tests (exit {code}); no row was run")
+        return 1
+    print(f"unmodified copy: {len(every)} test files pass ({seconds:.1f} s)")
+    bad = 0
+    for fault in FAULTS:
+        found = (ROOT / fault.path).read_text("utf-8").count(fault.old)
+        if found != 1:
+            outcome, seconds = f"MISSING ANCHOR ({found} matches)", 0.0
+        else:
+            code, output, seconds = run_tests(fault.tests, fault)
+            outcome = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (exit {code})")
+        bad += outcome != "killed"
+        print(f"{outcome}: {fault.name} ({fault.path}, {seconds:.1f} s)")
+        if outcome != "SURVIVED" and found == 1:  # -x: the first failure, or the error
+            lines = output.splitlines()
+            shown = [line for line in lines if line.startswith("FAILED")] or lines[-5:]
+            print("\n".join("    " + line for line in shown))
+    print(f"{len(FAULTS) - bad} of {len(FAULTS)} planted faults killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

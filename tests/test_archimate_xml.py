@@ -1,10 +1,16 @@
+import random
+import re
+from pathlib import Path
+
 import pytest
 
-from riskalign.archimate_xml import ELEMENT_TOKENS, import_archimate
+from riskalign.archimate_xml import _SLICE, ELEMENT_TOKENS, import_archimate
 from riskalign.builtin_tables import builtin_ruleset
 from riskalign.classify import classify_model
 from riskalign.eamodel import export_tabular, parse_tabular
-from riskalign.errors import ModelFormatError
+from riskalign.errors import InputError, ModelFormatError
+
+LAB_XML = (Path(__file__).parent / "fixtures" / "lab_model.xml").read_text()
 
 
 def test_lab_fixture_imports(lab_model):
@@ -220,3 +226,47 @@ def test_token_table_covers_the_ruleset_sources():
         if not ruleset.rules_for(concept)
     ]
     assert missing == []
+
+
+def xml_line_end_variant(seed: int) -> str:
+    """The lab model with CRLF, CR-only or mixed line ends, "\\r" or "\\r\\n"
+    inside some names, sometimes a CRLF across the first _SLICE boundary,
+    and in 40% of the seeds a syntax error."""
+    rng = random.Random(seed)
+    text = re.sub(
+        "<name>([^<]*) ",
+        lambda m: m[0][:-1] + rng.choice(["\r", "\r\n", " "]),
+        LAB_XML,
+    )
+    ends = rng.choice([["\r\n"], ["\r"], ["\n", "\r\n", "\r"]])  # CRLF, CR or mixed
+    text = "".join(piece + rng.choice(ends) for piece in text.split("\n")[:-1])
+    if rng.random() < 0.3:  # the "\r" is the last character of the first slice
+        declaration, rest = text.split(">", 1)
+        pad = _SLICE - len(declaration) - 1 - len("<!---->") - 1
+        text = f"{declaration}><!--{'x' * pad}-->\r\n{rest}"
+    if rng.random() < 0.4:
+        at = rng.randint(0, len(text))
+        garbage = rng.choice(["<", "</x>", "&bogus;", "<a b='1' b='2'/>"])
+        text = text[:at] + garbage + text[at:]
+    return text
+
+
+def xml_outcome(text: str):
+    try:
+        model = import_archimate(text)
+    except InputError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return model, list(model.elements.values()), model.warnings
+
+
+def test_xml_parser_reads_line_ends_as_translated_text():
+    # The CLI passes exchange XML through with its line ends: the parser's
+    # own end-of-line handling reads "\r\n" and a lone "\r" as "\n".
+    errors = 0
+    for seed in range(300):
+        text = xml_line_end_variant(seed)
+        translated = text.replace("\r\n", "\n").replace("\r", "\n")
+        got = xml_outcome(text)
+        assert got == xml_outcome(translated), seed
+        errors += got[0] is ModelFormatError
+    assert 60 < errors < 180  # the malformed variants raise, and the rest import

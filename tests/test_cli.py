@@ -24,7 +24,19 @@ from pathlib import Path
 
 import pytest
 
+from riskalign.builtin_tables import builtin_ruleset
+from riskalign.classify import (
+    apply_review,
+    classify_model,
+    parse_overlay,
+    render_facts_text,
+)
 from riskalign.cli import main
+from riskalign.eamodel import export_tabular, parse_tabular
+from riskalign.errors import InputError
+from riskalign.mappings import parse_ruleset
+from riskalign.register import parse_risk_catalog, validate_register
+from riskalign.riskgraph import Severity, render_violations_text
 
 from .launchers import MODULE, SCRIPT, STAND_IN, child_env, run_python
 from .test_cli_golden import GOLDEN, GOLDEN_USAGE, load_golden, resolve
@@ -865,6 +877,108 @@ class TestInputEncoding:
         code, out, err = run(capsys, "import", "--model", str(bad))
         assert (code, out) == (2, "")
         assert err == f"error: cannot read {bad}: not valid UTF-8 at byte offset 13\n"
+
+
+# Five records and a comment (line 2) in each record format. Line 4 has a
+# space, where the "cr-in-field" variant puts a lone "\r".
+LINE_END_TEXTS = {
+    "model": [
+        "FRAMEWORK|archimate21",
+        "# the tablet serves the nurse",
+        "E|role-nurse|business role|Home nurse|",
+        "E|dev-tablet|device|Nurse tablet|os=android",
+        "E|app-portal|application component|Care portal|",
+        "R|rel-1|assignment|role-nurse|dev-tablet",
+    ],
+    "ruleset": [
+        "RULESET|archimate21|a small alignment table",
+        "# business layer first",
+        "value|Business Layer Metamodel|BusinessAsset::value|equivalence||Home care",
+        "product|Business Layer Metamodel|BusinessAsset|specialisation||Blood Analysis",
+        "device|Technology layer|ISAsset|specialisation||Tablet",
+        "data object|Application layer|ISAsset|specialisation||Prescription Data",
+    ],
+    "overlay": [
+        "REVIEW|asm-disclosure-risk|Risk|confirm|names a disclosure risk",
+        "# the analyst's verdicts",
+        "REVIEW|drv-confidentiality|SecurityCriterion|confirm|the confidentiality goal",
+        "REVIEW|req-access-control|SecurityRequirement|confirm|mitigates the risk",
+        "REVIEW|bo-analysis-prescription|BusinessAsset|confirm|business information",
+        "REVIEW|pri-data-privacy-directive|Asset|reject|a directive, not an asset",
+    ],
+    "register": [
+        "CRIT|c1|Confidentiality of personal information|product-home-blood-analysis",
+        "# one risk on the tablet",
+        "RISK|r2|Tablet stolen during a home visit",
+        "VULN|r2|Tablet not locked between visits|dev-tablet",
+        "THREAT|r2|-|-|dev-tablet",
+        "IMPACT|r2|Blood taking rounds interrupted|bs-home-blood-taking|c1",
+    ],
+}
+LINE_ENDS = {"lf": "\n", "crlf": "\r\n", "cr": "\r", "cr-crlf": "\r\r\n"}
+
+
+def line_end_variant(kind: str, variant: str, end: str) -> str:
+    lines = list(LINE_END_TEXTS[kind])
+    if variant == "cr-in-comment":  # the comment and the next record share a "\n" line
+        lines[1:3] = [lines[1] + "\r" + lines[2]]
+    elif variant == "cr-in-field":
+        lines[3] = lines[3].replace(" ", "\r", 1)
+    return end.join(lines) + end
+
+
+class TestLineEnds:
+    """The CLI reads a file's bytes as the library parsers read its text."""
+
+    @staticmethod
+    def library(kind: str, text: str, path: str, lab: dict) -> tuple[int, str]:
+        """The exit code and stdout the CLI call below should give, or 2 and
+        its error line, computed with the library parsers."""
+        try:
+            if kind == "model":
+                return 0, export_tabular(parse_tabular(text, source=path))
+            model = parse_tabular(Path(lab["tab"]).read_text(encoding="utf-8"))
+            if kind == "ruleset":
+                result = classify_model(parse_ruleset(text), model)
+            else:
+                result = classify_model(builtin_ruleset("archimate21"), model)
+                overlay = Path(lab["overlay"]).read_text("utf-8")
+                result = apply_review(result, parse_overlay(
+                    text if kind == "overlay" else overlay))
+            if kind != "register":
+                return (1 if result.unknown else 0), render_facts_text(result)
+            violations = validate_register(parse_risk_catalog(text, result))
+            errors = any(v.severity is Severity.ERROR for v in violations)
+            return (1 if errors else 0), render_violations_text(violations)
+        except InputError as exc:
+            return 2, f"error: {exc}"
+
+    @pytest.mark.parametrize("variant", ["plain", "cr-in-comment", "cr-in-field"])
+    @pytest.mark.parametrize("end", LINE_ENDS)
+    @pytest.mark.parametrize("kind", LINE_END_TEXTS)
+    def test_cli_reads_line_ends_as_the_library_parsers_do(
+        self, capsys, lab, tmp_path, kind, end, variant
+    ):
+        text = line_end_variant(kind, variant, LINE_ENDS[end])
+        path = tmp_path / kind
+        path.write_bytes(text.encode("utf-8"))
+        argv = {
+            "model": ["import", "--model"],
+            "ruleset": ["classify", "--model", lab["tab"], "--ruleset"],
+            "overlay": ["review", "--model", lab["tab"], "--ruleset", "archimate21",
+                        "--overlay"],
+            "register": ["validate", "--model", lab["tab"], "--ruleset", "archimate21",
+                         "--overlay", lab["overlay"], "--register"],
+        }[kind]
+        code, out, err = run(capsys, *argv, str(path))
+        if code == 2:
+            assert out == ""
+            out = err.split("\n")[-2]  # the error line ends stderr
+        assert (code, out) == self.library(kind, text, str(path), lab)
+        if variant != "cr-in-field":  # every record is read, as from the "\n" text
+            plain = line_end_variant(kind, "plain", "\n")
+            assert (code, out) == self.library(kind, plain, str(path), lab)
+            assert code != 2
 
 
 class TestHostileXml:

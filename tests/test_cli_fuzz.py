@@ -28,7 +28,7 @@ BASES = {
     "overlay": FIXTURES / "lab.overlay",
     "register": FIXTURES / "lab.risk",
 }
-INJECTIONS = [b"|", b"\\", b"\n", b"\r\n", b"\xef\xbb\xbf"]
+INJECTIONS = [b"|", b"\\", b"\n", b"\r\n", b"\r", b"\xef\xbb\xbf"]
 # Offsets just inside XML element text (after ">") and attribute values.
 XML_SLOTS = [
     m.end() for m in re.finditer(rb'>(?=[^<\s])|="', BASES["xml"].read_bytes())

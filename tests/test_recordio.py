@@ -121,9 +121,10 @@ def test_iter_records_line_numbers_are_one_based():
     "A|1\n\r\nB|2\n \r \n",
     "A|1\n# a\rb\nB|2\n# the end\r",
     "# \\ and \r\r\n|A||1|\n\r\n\t\r\nB\n",
+    "A|1\n# a lone CR ends this comment\rB|2\n",
 ])
 def test_whole_text_checks_leave_plain_records_alone(text):
-    # The text holds a "\r" or a backslash only in a comment or a blank line,
+    # A "\r" ends a line, and the text holds a backslash only in a comment,
     # so every record splits as a plain line would.
     records = list(recordio.iter_records(text))
     assert records == list(iter_records_by_char(text))

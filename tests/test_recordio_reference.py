@@ -70,8 +70,9 @@ def test_iter_records_matches_reference():
     rng = random.Random(13)
     lines = random_strings(14) + ["#" + s for s in random_strings(15, 5_000)] + [""] * 5_000
     for _ in range(DRAWS // 10):
-        text = "\n".join(rng.choices(lines, k=rng.randint(0, 10)))
-        text += rng.choice(("", "\n", "\r\n"))
+        text = "".join(line + rng.choice(("\n", "\r\n", "\r"))
+                       for line in rng.choices(lines, k=rng.randint(0, 10)))
+        text = text.removesuffix(rng.choice(("", "\n", "\r\n", "\r")))
         assert list(recordio.iter_records(text)) == list(oracles.iter_records_by_char(text)), text
 
 
