@@ -279,6 +279,7 @@ def parse_overlay(text: str) -> ReviewOverlay:
 
 
 _REFINABLE = {ISSRMConcept.BUSINESS_ASSET, ISSRMConcept.IS_ASSET}
+_ASSET_TARGET = ConceptTarget(ISSRMConcept.ASSET)
 
 
 def apply_review(
@@ -286,50 +287,51 @@ def apply_review(
 ) -> ClassificationSet:
     """Apply review verdicts, returning a new classification set.
 
-    Confirm promotes candidate facts with the named concept target to
-    definite; confirming an already confirmed fact is a no-op; confirming a
-    definite Asset fact as BusinessAsset or ISAsset refines the target to
-    the subtype. Reject removes candidate facts. Anything else is a
-    ReviewError.
+    A verdict acts on the element's candidate facts with the named concept
+    target: confirm promotes them to definite, reject removes them.
+    Confirming an already confirmed fact is a no-op; confirming
+    BusinessAsset or ISAsset with no such fact refines the element's
+    definite Asset facts to the subtype. Anything else is a ReviewError.
     """
     edited: dict[str, list[ClassificationFact]] = {}  # the groups a verdict names
     for entry in overlay.entries:
-        if entry.element_id not in classification.model:
-            raise UnknownElementError(
-                f"review names unknown element id {entry.element_id!r}"
-            )
-        group = edited.get(entry.element_id)
-        if group is None:
-            group = edited[entry.element_id] = list(
-                classification.facts_for(entry.element_id)
-            )
-        exact_target = ConceptTarget(entry.concept)
-        exact = [i for i, f in enumerate(group) if f.target == exact_target]
-        if entry.verdict == "confirm":
-            promotable = [i for i in exact if group[i].tier is Tier.CANDIDATE]
-            if promotable:
-                for i in promotable:
-                    group[i] = group[i]._replace(tier=Tier.DEFINITE, confirmed=True)
-                continue
-            if any(group[i].confirmed for i in exact):
+        element_id, concept = entry.element_id, entry.concept
+        if element_id not in classification.model:
+            raise UnknownElementError(f"review names unknown element id {element_id!r}")
+        group = edited.get(element_id, classification.facts_for(element_id))
+        target = ConceptTarget(concept)
+        exact = [fact for fact in group if fact.target == target]
+        chosen = [fact for fact in exact if fact.tier is Tier.CANDIDATE]
+        confirm = entry.verdict == "confirm"
+        if confirm and not chosen:
+            if any(fact.confirmed for fact in exact):
                 continue  # idempotent re-confirmation
-            if _refine(group, entry):
-                continue
-            raise ReviewError(_confirm_error(group, entry, exact))
+            if concept in _REFINABLE:
+                chosen = [fact for fact in group if fact.target == _ASSET_TARGET
+                          and fact.tier is Tier.DEFINITE]
+        if not chosen:
+            pair = f"({element_id}, {concept})"
+            if not confirm:
+                reason = ("only candidate facts can be rejected" if exact
+                          else "no matching fact")
+                message = f"cannot reject {pair}; {reason}"
+            elif exact:
+                message = (f"cannot confirm {pair}; "
+                           "the fact is already definite without review")
+            elif group:
+                message = f"no candidate fact {pair} to confirm"
+            else:
+                message = f"element {element_id!r} has no classification facts"
+            raise ReviewError(message)
+        # equal facts are acted on alike, so a fact is chosen by its value
+        if confirm:
+            edited[element_id] = [
+                fact._replace(target=target, tier=Tier.DEFINITE, confirmed=True)
+                if fact in chosen else fact
+                for fact in group
+            ]
         else:
-            rejectable = [i for i in exact if group[i].tier is Tier.CANDIDATE]
-            if not rejectable:
-                if exact:
-                    raise ReviewError(
-                        f"cannot reject ({entry.element_id}, {entry.concept}); "
-                        "only candidate facts can be rejected"
-                    )
-                raise ReviewError(
-                    f"cannot reject ({entry.element_id}, {entry.concept}); "
-                    "no matching fact"
-                )
-            for i in sorted(rejectable, reverse=True):
-                del group[i]
+            edited[element_id] = [fact for fact in group if fact not in chosen]
     return ClassificationSet(
         model=classification.model,
         ruleset=classification.ruleset,
@@ -341,34 +343,6 @@ def apply_review(
         unmapped=classification.unmapped,
         unknown=classification.unknown,
         warnings=classification.warnings,
-    )
-
-
-def _refine(group: list[ClassificationFact], entry: ReviewEntry) -> bool:
-    """Refine the element's definite Asset facts to the entry's subtype."""
-    if entry.concept not in _REFINABLE:
-        return False
-    asset_target = ConceptTarget(ISSRMConcept.ASSET)
-    refined = False
-    for i, fact in enumerate(group):
-        if fact.target == asset_target and fact.tier is Tier.DEFINITE:
-            group[i] = fact._replace(target=ConceptTarget(entry.concept), confirmed=True)
-            refined = True
-    return refined
-
-
-def _confirm_error(
-    group: list[ClassificationFact], entry: ReviewEntry, exact: list[int]
-) -> str:
-    if exact:
-        return (
-            f"cannot confirm ({entry.element_id}, {entry.concept}); "
-            "the fact is already definite without review"
-        )
-    if not group:
-        return f"element {entry.element_id!r} has no classification facts"
-    return (
-        f"no candidate fact ({entry.element_id}, {entry.concept}) to confirm"
     )
 
 

@@ -95,10 +95,12 @@ def _split_line(line: str) -> list[str]:
 def iter_records(text: str) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, fields) for each record line.
 
-    A line ends at "\\n", "\\r\\n" or a lone "\\r", for every caller of the
-    record parsers. Blank lines and lines starting with "#" are skipped. Line
-    numbers are 1-based over the full text, comments included.
+    A line ends at "\\n", "\\r\\n" or a lone "\\r", and one leading byte order
+    mark is dropped, for every caller of the record parsers. Blank lines and
+    lines starting with "#" are skipped. Line numbers are 1-based over the
+    full text, comments included.
     """
+    text = text.removeprefix("\ufeff")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = enumerate(text.split("\n"), start=1)

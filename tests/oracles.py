@@ -1109,12 +1109,15 @@ def iter_records_by_char(text: str):
     """Yield (line number, fields) for each record line.
 
     One scan splits the lines: "\\n" ends a line, and so does "\\r", which
-    also takes a "\\n" right after it. Blank and "#" lines are skipped.
+    also takes a "\\n" right after it. A byte order mark as the first
+    character is dropped. Blank and "#" lines are skipped.
     """
     lines: list[str] = []
     current: list[str] = []
     after_cr = False
-    for ch in text:
+    for position, ch in enumerate(text):
+        if ch == "\ufeff" and position == 0:
+            continue
         if ch == "\n" and after_cr:  # the end of a "\r\n"
             after_cr = False
             continue

@@ -7,7 +7,7 @@ A row holds a file, an exact old text that must occur exactly once in it,
 the new text, and the test files to run. The script first runs every listed
 test file once on an unmodified copy, and that run must pass. Then, for each
 row, it plants the fault in a new temporary copy of src/ and tests/ (with
-perfbench/ and pyproject.toml, which the tests read) and runs the row's
+perfbench/, pyproject.toml and README.md, which the tests read) and runs the row's
 files. A row is killed when pytest exits 1, that is when a test fails. The
 script prints each row's outcome and exits 1 if any row survives, errors
 (any other exit status, such as a collection error) or has a missing
@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+COPIED = ("src", "tests", "perfbench", "pyproject.toml", "README.md")
 
 
 class Fault(NamedTuple):
@@ -40,6 +40,7 @@ class Fault(NamedTuple):
 
 
 REGISTER_TESTS = ("tests/test_register.py", "tests/test_indexes.py")
+REVIEW_TESTS = ("tests/test_classify.py", "tests/test_indexes.py")
 FAULTS = [
     Fault("criterion rule counts the related tier", "src/riskalign/register.py",
           "(Tier.DEFINITE, Tier.CANDIDATE)",
@@ -65,6 +66,68 @@ FAULTS = [
           '.replace("\\r", "\\n")', '.removesuffix("\\r")',
           ("tests/test_recordio.py", "tests/test_recordio_reference.py",
            "tests/test_cli.py")),
+    Fault("every leading byte order mark is dropped", "src/riskalign/recordio.py",
+          'text.removeprefix("\\ufeff")', 'text.lstrip("\\ufeff")',
+          ("tests/test_recordio.py",)),
+    # one row per finding code validate_register emits
+    Fault("THR_TARGET_NOT_ISASSET: a threat's first target goes unchecked",
+          "src/riskalign/register.py",
+          "ISSRMConcept.THREAT,\n                       threat.targets)",
+          "ISSRMConcept.THREAT,\n                       threat.targets[1:])",
+          REGISTER_TESTS),
+    Fault("VULN_NOT_ON_ISASSET: a vulnerability's first element goes unchecked",
+          "src/riskalign/register.py",
+          "ISSRMConcept.VULNERABILITY, vuln.elements)",
+          "ISSRMConcept.VULNERABILITY, vuln.elements[1:])", REGISTER_TESTS),
+    Fault("THR_INCOMPLETE: a threat with an agent or a method is complete",
+          "src/riskalign/register.py",
+          "if not (threat.agent and threat.method):",
+          "if not (threat.agent or threat.method):", REGISTER_TESTS),
+    Fault("VULN_NO_ISASSET: only an event without a threat is checked",
+          "src/riskalign/register.py",
+          "if not vuln.elements:", "if not vuln.elements and threat is None:",
+          REGISTER_TESTS),
+    Fault("EVT_NO_THREAT: an event with a part always counts a threat",
+          "src/riskalign/register.py",
+          "[ISSRMConcept.THREAT] * (threat is not None)", "[ISSRMConcept.THREAT]",
+          REGISTER_TESTS),
+    Fault("EVT_NO_VULN: an event counts the risk's impacts as vulnerabilities",
+          "src/riskalign/register.py",
+          "[ISSRMConcept.VULNERABILITY] * len(case.vulnerabilities)",
+          "[ISSRMConcept.VULNERABILITY] * len(case.impacts)", REGISTER_TESTS),
+    Fault("RISK_NO_IMPACT: a risk always counts an impact",
+          "src/riskalign/register.py",
+          "[ISSRMConcept.IMPACT] * len(case.impacts)",
+          "[ISSRMConcept.IMPACT] * max(1, len(case.impacts))", REGISTER_TESTS),
+    Fault("IMP_HARM_UNCLASSIFIED: any fact classifies a harmed element",
+          "src/riskalign/register.py",
+          "if not any(element_id in classification.definite_elements(concept)\n"
+          "                           for concept in ASSET_KINDS):",
+          "if not classification.facts_for(element_id):", REGISTER_TESTS),
+    Fault("CRIT_ON_UNCONFIRMED: a plain Asset claim is no business-asset claim",
+          "src/riskalign/register.py",
+          "asset_claims = {ISSRMConcept.ASSET, ISSRMConcept.BUSINESS_ASSET}",
+          "asset_claims = {ISSRMConcept.BUSINESS_ASSET}", REGISTER_TESTS),
+    Fault("CRIT_NOT_ON_BIZASSET: reported as CRIT_ON_UNCONFIRMED",
+          "src/riskalign/register.py",
+          '"CRIT_NOT_ON_BIZASSET", (crit.id, element_id),',
+          '"CRIT_ON_UNCONFIRMED", (crit.id, element_id),', REGISTER_TESTS),
+    # classify.apply_review decides each verdict on the facts it chooses
+    Fault("review promotes and refines without confirmed=True",
+          "src/riskalign/classify.py",
+          "tier=Tier.DEFINITE, confirmed=True)", "tier=Tier.DEFINITE)",
+          REVIEW_TESTS),
+    Fault("review refines Asset facts of any tier", "src/riskalign/classify.py",
+          "if fact.target == _ASSET_TARGET\n"
+          "                          and fact.tier is Tier.DEFINITE]",
+          "if fact.target == _ASSET_TARGET]", REVIEW_TESTS),
+    Fault("reject drops every fact with the named target",
+          "src/riskalign/classify.py",
+          "[fact for fact in group if fact not in chosen]",
+          "[fact for fact in group if fact.target != target]", REVIEW_TESTS),
+    Fault("re-confirming a confirmed fact raises", "src/riskalign/classify.py",
+          "continue  # idempotent re-confirmation",
+          "pass  # idempotent re-confirmation", REVIEW_TESTS),
 ]
 
 

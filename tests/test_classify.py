@@ -244,6 +244,28 @@ def test_reject_removes_candidate(lab_classification):
     assert cs.facts_for("pri-data-privacy-directive") == ()
 
 
+def test_review_acts_only_on_the_candidate_beside_a_definite_fact():
+    # One source names ISAsset twice: definite by specialisation, and a
+    # candidate by generalisation where an attribute holds.
+    ruleset = parse_ruleset(
+        "RULESET|archimate21|one target at two tiers\n"
+        "node|Technology layer|ISAsset|specialisation||\n"
+        "node|Technology layer|ISAsset|generalisation|shared=yes|\n"
+    )
+    model = parse_tabular("FRAMEWORK|archimate21\nE|n|node|Server|shared=yes\n")
+    classification = classify_model(ruleset, model)
+    definite, candidate = classification.facts_for("n")
+    assert (definite.tier, candidate.tier) == (Tier.DEFINITE, Tier.CANDIDATE)
+
+    def review(verdict):
+        overlay = parse_overlay(f"REVIEW|n|ISAsset|{verdict}|\n")
+        return apply_review(classification, overlay).facts_for("n")
+
+    assert review("reject") == (definite,)
+    promoted = candidate._replace(tier=Tier.DEFINITE, confirmed=True)
+    assert review("confirm") == (definite, promoted)
+
+
 def test_reject_definite_fact_fails(lab_classification):
     overlay = parse_overlay("REVIEW|dev-tablet|ISAsset|reject|\n")
     with pytest.raises(ReviewError):

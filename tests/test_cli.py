@@ -924,6 +924,8 @@ def line_end_variant(kind: str, variant: str, end: str) -> str:
         lines[1:3] = [lines[1] + "\r" + lines[2]]
     elif variant == "cr-in-field":
         lines[3] = lines[3].replace(" ", "\r", 1)
+    elif variant == "bom":  # a leading byte order mark, which every reader drops
+        lines[0] = "\ufeff" + lines[0]
     return end.join(lines) + end
 
 
@@ -953,7 +955,8 @@ class TestLineEnds:
         except InputError as exc:
             return 2, f"error: {exc}"
 
-    @pytest.mark.parametrize("variant", ["plain", "cr-in-comment", "cr-in-field"])
+    @pytest.mark.parametrize("variant",
+                             ["plain", "cr-in-comment", "cr-in-field", "bom"])
     @pytest.mark.parametrize("end", LINE_ENDS)
     @pytest.mark.parametrize("kind", LINE_END_TEXTS)
     def test_cli_reads_line_ends_as_the_library_parsers_do(

@@ -67,6 +67,7 @@ plain_text = st.text(
 @given(plain_text)
 def test_plain_lines_split_like_split_record(line):
     records = list(recordio.iter_records(line))
+    line = line.removeprefix("\ufeff")  # iter_records drops a leading byte order mark
     if not line.strip() or line.startswith("#"):
         assert records == []
     else:
@@ -112,6 +113,13 @@ def test_iter_records_skips_blanks_and_comments():
 def test_iter_records_line_numbers_are_one_based():
     records = list(recordio.iter_records("X|y"))
     assert records == [(1, ["X", "y"])]
+
+
+def test_iter_records_drops_one_leading_byte_order_mark():
+    assert list(recordio.iter_records("\ufeffX|y\n")) == [(1, ["X", "y"])]
+    assert list(recordio.iter_records("\ufeff# c\nX|y")) == [(2, ["X", "y"])]
+    assert list(recordio.iter_records("\ufeff\ufeffX|y")) == [(1, ["\ufeffX", "y"])]
+    assert list(recordio.iter_records("X|\ufeffy")) == [(1, ["X", "\ufeffy"])]
 
 
 @pytest.mark.parametrize("text", [
