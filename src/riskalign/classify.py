@@ -290,7 +290,7 @@ def apply_review(
     A verdict acts on the element's candidate facts with the named concept
     target: confirm promotes them to definite, reject removes them.
     Confirming an already confirmed fact is a no-op; confirming
-    BusinessAsset or ISAsset with no such fact refines the element's
+    BusinessAsset or ISAsset with no such candidate refines the element's
     definite Asset facts to the subtype. Anything else is a ReviewError.
     """
     edited: dict[str, list[ClassificationFact]] = {}  # the groups a verdict names
