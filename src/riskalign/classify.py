@@ -11,7 +11,8 @@ subtype, or reject candidates.
 from __future__ import annotations
 
 import enum
-from functools import cached_property
+from collections import defaultdict
+from functools import cache, cached_property, partial
 from typing import NamedTuple
 
 from .concepts import ISSRMConcept, parse_concept
@@ -87,10 +88,7 @@ class ClassificationFact(NamedTuple):
 
 def classify_element(ruleset: Ruleset, element: EAElement) -> list[ClassificationFact]:
     """Facts for one element, in table order. Empty for unmapped or unknown."""
-    plan = _concept_plan(ruleset, element.concept_name)
-    if plan is None:
-        return []
-    return [ClassificationFact(element.id, *step.fact) for step in _steps(plan, element)]
+    return list(_facts(_concept_plan(ruleset, element.concept_name), element))
 
 
 class ClassificationSet:
@@ -100,29 +98,49 @@ class ClassificationSet:
     sorted element ids. Every model element lands in exactly one of: has a
     fact, unmapped, unknown.
 
-    Every lookup reads one of two indexes, each built from the facts in one
-    pass the first time it is asked for: the facts by element, and the
-    elements that definitely hold each concept.
+    Each part is computed on its first read and kept. An element's facts come
+    from its concept's plan, resolved once per concept name, and facts is
+    built from them. unmapped, unknown, warnings and the definite holders of
+    each concept come from one pass over the element ids grouped by concept
+    name, where only a conditional plan evaluates its elements. A set built
+    from explicit facts knows every element's facts from the start.
     """
 
     def __init__(
         self,
         model: EAModel,
         ruleset: Ruleset,
-        facts: tuple[ClassificationFact, ...],
-        unmapped: tuple[str, ...],
-        unknown: tuple[str, ...],
-        warnings: tuple[str, ...],
+        facts: tuple[ClassificationFact, ...] | None = None,
+        unmapped: tuple[str, ...] = (),
+        unknown: tuple[str, ...] = (),
+        warnings: tuple[str, ...] = (),
     ):
         self.model = model
         self.ruleset = ruleset
+        # the facts of each element known so far: computed, given or reviewed
+        self._known: dict[str, tuple[ClassificationFact, ...]] = {}
+        if facts is None:
+            self._plan = cache(partial(_concept_plan, ruleset))
+            return
+        self._plan = lambda concept_name: None
         self.facts = facts
-        self.unmapped = unmapped
-        self.unknown = unknown
-        self.warnings = warnings
+        self._grouped = ({}, unmapped, unknown, warnings)
+        for fact in facts:
+            self._known[fact.element_id] = (*self._known.get(fact.element_id, ()), fact)
+
+    unmapped = property(lambda self: self._grouped[1])
+    unknown = property(lambda self: self._grouped[2])
+    warnings = property(lambda self: self._grouped[3])
 
     def facts_for(self, element_id: str) -> tuple[ClassificationFact, ...]:
-        return self._facts_by_element.get(element_id, ())
+        facts = self._known.get(element_id)
+        if facts is None:
+            element = self.model.elements.get(element_id)
+            if element is None:
+                return ()
+            facts = self._known[element_id] = _facts(self._plan(element.concept_name),
+                                                     element)
+        return facts
 
     def definite_concepts(self, element_id: str) -> frozenset[ISSRMConcept]:
         """Concepts this element definitely holds, composites included."""
@@ -137,19 +155,64 @@ class ClassificationSet:
         return self._definite_holders.get(concept, frozenset())
 
     @cached_property
-    def _facts_by_element(self) -> dict[str, tuple[ClassificationFact, ...]]:
-        groups: dict[str, list[ClassificationFact]] = {}
-        for fact in self.facts:
-            groups.setdefault(fact.element_id, []).append(fact)
-        return {element_id: tuple(group) for element_id, group in groups.items()}
+    def facts(self) -> tuple[ClassificationFact, ...]:
+        """Every fact, in element id then row order; its groups are not kept."""
+        known, index = self._known, self.model.elements
+        facts: list[ClassificationFact] = []
+        for element_id in sorted(index):
+            group = known.get(element_id)
+            if group is None:
+                element = index[element_id]
+                group = _facts(self._plan(element.concept_name), element)
+            facts.extend(group)
+        return tuple(facts)
+
+    @cached_property
+    def _grouped(self) -> tuple[dict[ISSRMConcept, set[str]], tuple[str, ...],
+                                tuple[str, ...], tuple[str, ...]]:
+        """The elements that definitely hold each concept by their plans,
+        then unmapped, unknown and warnings."""
+        groups: dict[str, list[str]] = defaultdict(list)
+        index = self.model.elements
+        for element_id, element in index.items():
+            groups[element.concept_name].append(element_id)
+        holders: dict[ISSRMConcept, set[str]] = {}
+        unmapped: list[str] = []
+        unknown: list[str] = []
+        warnings: list[tuple[str, str]] = []
+        for concept_name, ids in groups.items():
+            plan = self._plan(concept_name)
+            if plan is None:
+                unknown.extend(ids)
+                continue
+            outcomes = ([(_steps(plan, index[i]), (i,)) for i in ids]
+                        if plan.conditional else [(plan.steps, ids)])
+            for steps, members in outcomes:
+                if not steps:
+                    unmapped.extend(members)
+                for step in steps:
+                    target, _, tier = step.fact[:3]
+                    if tier is Tier.DEFINITE:
+                        for concept in target_concepts(target):
+                            holders.setdefault(concept, set()).update(members)
+                    if step.warning:
+                        warnings.extend((i, f"{i}: {step.warning}") for i in members)
+        warnings.sort(key=lambda pair: pair[0])  # stable: row order per element
+        return (holders, tuple(sorted(unmapped)), tuple(sorted(unknown)),
+                tuple(text for _, text in warnings))
 
     @cached_property
     def _definite_holders(self) -> dict[ISSRMConcept, frozenset[str]]:
-        holders: dict[ISSRMConcept, set[str]] = {}
-        for fact in self.facts:
-            if fact.tier is Tier.DEFINITE:
-                for concept in target_concepts(fact.target):
-                    holders.setdefault(concept, set()).add(fact.element_id)
+        """The holders by plan, with each known element's facts in place of
+        its plan's."""
+        known = self._known
+        holders = {concept: ids.difference(known)
+                   for concept, ids in self._grouped[0].items()}
+        for element_id, facts in known.items():
+            for fact in facts:
+                if fact.tier is Tier.DEFINITE:
+                    for concept in target_concepts(fact.target):
+                        holders.setdefault(concept, set()).add(element_id)
         return {concept: frozenset(ids) for concept, ids in holders.items()}
 
 
@@ -158,45 +221,14 @@ def classify_model(ruleset: Ruleset, model: EAModel) -> ClassificationSet:
 
     The rules, tiers and warning texts are resolved once per distinct
     concept name; only a concept with a conditional rule evaluates the
-    conditions against each element's attributes.
+    conditions against each element's attributes. Each part of the result
+    is computed on its first read.
     """
     if ruleset.framework != model.framework:
         raise FrameworkMismatchError(
             f"model is {model.framework!r} but ruleset is {ruleset.framework!r}"
         )
-    facts: list[ClassificationFact] = []
-    unmapped: list[str] = []
-    unknown: list[str] = []
-    warnings: list[str] = []
-    plans: dict[str, _ConceptPlan | None] = {}
-    index = model.elements
-    new = tuple.__new__  # facts without their Python-level __new__
-    for elem_id in sorted(index):
-        element = index[elem_id]
-        try:
-            plan = plans[element.concept_name]
-        except KeyError:
-            plan = plans[element.concept_name] = _concept_plan(
-                ruleset, element.concept_name
-            )
-        if plan is None:
-            unknown.append(elem_id)
-            continue
-        steps = _steps(plan, element)
-        if not steps:
-            unmapped.append(elem_id)
-        for step in steps:
-            facts.append(new(ClassificationFact, (elem_id, *step.fact)))
-            if step.warning:
-                warnings.append(f"{elem_id}: {step.warning}")
-    return ClassificationSet(
-        model=model,
-        ruleset=ruleset,
-        facts=tuple(facts),
-        unmapped=tuple(unmapped),
-        unknown=tuple(unknown),
-        warnings=tuple(warnings),
-    )
+    return ClassificationSet(model, ruleset)
 
 
 class _Step(NamedTuple):
@@ -231,10 +263,21 @@ def _concept_plan(ruleset: Ruleset, concept_name: str) -> _ConceptPlan | None:
     return _ConceptPlan(tuple(steps), any(step.condition is not None for step in steps))
 
 
+def _facts(plan: _ConceptPlan | None,
+           element: EAElement) -> tuple[ClassificationFact, ...]:
+    """The element's facts by its concept's plan, in table order; empty when
+    there is no plan."""
+    if plan is None:
+        return ()
+    steps = _steps(plan, element) if plan.conditional else plan.steps
+    new = tuple.__new__  # facts without their Python-level __new__
+    if len(steps) == 1:  # most elements: no comprehension to call
+        return (new(ClassificationFact, (element.id, *steps[0].fact)),)
+    return tuple([new(ClassificationFact, (element.id, *step.fact)) for step in steps])
+
+
 def _steps(plan: _ConceptPlan, element: EAElement) -> tuple[_Step, ...]:
-    """The plan's steps whose condition holds for the element."""
-    if not plan.conditional:
-        return plan.steps
+    """The conditional plan's steps whose condition holds for the element."""
     attributes = element.attributes or {}
     return tuple(
         step
@@ -292,6 +335,9 @@ def apply_review(
     Confirming an already confirmed fact is a no-op; confirming
     BusinessAsset or ISAsset with no such candidate refines the element's
     definite Asset facts to the subtype. Anything else is a ReviewError.
+
+    The new set keeps the edited fact groups as overrides and shares the
+    rest with the classification: its plans, unmapped, unknown and warnings.
     """
     edited: dict[str, list[ClassificationFact]] = {}  # the groups a verdict names
     for entry in overlay.entries:
@@ -332,18 +378,11 @@ def apply_review(
             ]
         else:
             edited[element_id] = [fact for fact in group if fact not in chosen]
-    return ClassificationSet(
-        model=classification.model,
-        ruleset=classification.ruleset,
-        facts=tuple(
-            fact
-            for element_id, group in classification._facts_by_element.items()
-            for fact in edited.get(element_id, group)
-        ),
-        unmapped=classification.unmapped,
-        unknown=classification.unknown,
-        warnings=classification.warnings,
-    )
+    reviewed = ClassificationSet(classification.model, classification.ruleset)
+    reviewed._plan, reviewed._grouped = classification._plan, classification._grouped
+    reviewed._known = {**classification._known,
+                       **{element_id: tuple(group) for element_id, group in edited.items()}}
+    return reviewed
 
 
 # --- reports ---------------------------------------------------------------------

@@ -219,28 +219,28 @@ def _dest(arg: tuple) -> str:
 
 
 def _read_text(path: str) -> str:
-    """Read a UTF-8 file, dropping a leading byte order mark; line ends are
-    left to recordio.iter_records and to the XML parser."""
+    """Read a UTF-8 file. Its line ends are left to recordio.iter_records and
+    to the XML parser, and a leading byte order mark to each format's reader."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(
             f"cannot read {path}: not valid UTF-8 at byte offset {exc.start}"
         ) from None
-    return text.removeprefix("\ufeff")
 
 
 def _load_model(path: str) -> EAModel:
     text = _read_text(path)
-    if text.lstrip()[:1] == "<":
+    xml = text.removeprefix("\ufeff")  # one mark, which expat counts as a column
+    if xml.lstrip()[:1] == "<":
         from .archimate_xml import import_archimate
 
-        model = import_archimate(text, source=path)
+        model = import_archimate(xml, source=path)
     else:
         model = parse_tabular(text, source=path)
     for warning in model.warnings:

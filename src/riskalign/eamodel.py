@@ -267,13 +267,21 @@ def parse_tabular(text: str, source: str = "") -> EAModel:
 
 
 def export_tabular(model: EAModel) -> str:
-    """Serialize a model to the tabular format, elements before relationships."""
-    rows = [("FRAMEWORK", model.framework)]
-    rows.extend(
-        ("E", elem.id, elem.concept_name, elem.name, recordio.format_attrs(elem.attributes))
-        for elem in model.elements.values()
-    )
-    rows.extend(
-        ("R", rel.id, rel.kind, rel.source, rel.target) for rel in model.relationships
-    )
-    return recordio.join_records(rows)
+    """Serialize a model to the tabular format, elements before relationships.
+    A field with a line break raises a ModelStructureError that names it."""
+    try:
+        return recordio.join_records([
+            ("FRAMEWORK", model.framework),
+            *(("E", elem.id, elem.concept_name, elem.name,
+               recordio.format_attrs(elem.attributes)) for elem in model.elements.values()),
+            *(("R", rel.id, rel.kind, rel.source, rel.target) for rel in model.relationships),
+        ])
+    except ValueError:  # recordio's line break error; only now look for the field
+        for record in (*model.elements.values(), *model.relationships):
+            for field, value in zip(record._fields, record):
+                texts = [*value, *value.values()] if field == "attributes" else [value]
+                if any("\n" in text or "\r" in text for text in texts):
+                    what = "element" if isinstance(record, EAElement) else "relationship"
+                    raise ModelStructureError(
+                        f"{what} {record.id!r} has a line break in its {field}") from None
+        raise

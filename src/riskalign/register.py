@@ -137,7 +137,7 @@ def parse_risk_catalog(text: str, classification: ClassificationSet) -> RiskRegi
     raise with line numbers. Classification-quality problems do not raise;
     they surface from validate_register as Violations.
     """
-    model = classification.model
+    index = classification.model.elements
     risks: dict[str, RiskCase] = {}
     criteria: dict[str, CriterionSpec] = {}
     # Treatments and requirements collect their children in lists until the end.
@@ -150,22 +150,22 @@ def parse_risk_catalog(text: str, classification: ClassificationSet) -> RiskRegi
             raise CatalogFormatError("record with empty id", lineno)
         if record_id in declared:
             raise CatalogFormatError(f"duplicate id {record_id!r}", lineno)
-        for mark, role in (("::", "is reserved for derived ids"),
-                           (",", "separates the ids of a list")):
-            if mark in record_id:
-                raise CatalogFormatError(
-                    f"id {record_id!r} contains {mark!r}, which {role}", lineno)
+        if "::" in record_id or "," in record_id:
+            mark, role = (("::", "is reserved for derived ids") if "::" in record_id
+                          else (",", "separates the ids of a list"))
+            raise CatalogFormatError(
+                f"id {record_id!r} contains {mark!r}, which {role}", lineno)
         if record_id != record_id.strip():
             raise CatalogFormatError(f"id {record_id!r} starts or ends with a blank, "
                                      "which id lists strip", lineno)
-        if record_id in model:
+        if record_id in index:
             raise CatalogFormatError(
                 f"id {record_id!r} collides with a model element id", lineno
             )
         declared.add(record_id)
 
     def elements(ids_field: str, lineno: int,
-                 known: Mapping[str, object] = model.elements,
+                 known: Mapping[str, object] = index,
                  what: str = "element") -> tuple[str, ...]:
         ids = recordio.split_list(ids_field)
         for item_id in ids:
@@ -182,7 +182,12 @@ def parse_risk_catalog(text: str, classification: ClassificationSet) -> RiskRegi
             raise CatalogFormatError(f"unknown record tag {tag!r}", lineno)
         if len(fields) != count:
             raise CatalogFormatError(f"{tag} needs {count} fields", lineno)
-        if tag == "CRIT":
+        if tag == "CTRL":  # over half the records of a register with controls
+            _, req_id, ctrl_id, ctrl_text = fields
+            requirement = _known(requirements, "requirement", req_id, lineno)
+            declare(ctrl_id, lineno)
+            requirement.controls.append(ControlSpec(ctrl_id, ctrl_text))
+        elif tag == "CRIT":
             _, crit_id, name, constrained = fields
             declare(crit_id, lineno)
             criteria[crit_id] = CriterionSpec(crit_id, name, elements(constrained, lineno))
@@ -227,11 +232,6 @@ def parse_risk_catalog(text: str, classification: ClassificationSet) -> RiskRegi
             declare(req_id, lineno)
             requirements[req_id] = RequirementSpec(req_id, req_text, [])
             treatment.requirements.append(requirements[req_id])
-        elif tag == "CTRL":
-            _, req_id, ctrl_id, ctrl_text = fields
-            requirement = _known(requirements, "requirement", req_id, lineno)
-            declare(ctrl_id, lineno)
-            requirement.controls.append(ControlSpec(ctrl_id, ctrl_text))
 
     for case in risks.values():
         case.treatments = [

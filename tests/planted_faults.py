@@ -128,6 +128,23 @@ FAULTS = [
     Fault("re-confirming a confirmed fact raises", "src/riskalign/classify.py",
           "continue  # idempotent re-confirmation",
           "pass  # idempotent re-confirmation", REVIEW_TESTS),
+    # classify.ClassificationSet computes what a call reads, on demand
+    Fault("definite holders ignore a confirm override", "src/riskalign/classify.py",
+          "if fact.tier is Tier.DEFINITE:",
+          "if fact.tier is Tier.DEFINITE and not fact.confirmed:", REVIEW_TESTS),
+    Fault("a conditional plan's steps apply without evaluating their conditions",
+          "src/riskalign/classify.py",
+          "if plan.conditional else [(plan.steps, ids)]",
+          "if False else [(plan.steps, ids)]",
+          ("tests/test_classify.py", "tests/test_fast_paths.py")),
+    # one byte order mark drop per format, and no bare ValueError from export
+    Fault("the CLI drops a byte order mark before the record readers",
+          "src/riskalign/cli.py",
+          'return data.decode("utf-8")',
+          'return data.decode("utf-8").removeprefix("\\ufeff")', ("tests/test_cli.py",)),
+    Fault("export lets recordio's bare ValueError out", "src/riskalign/eamodel.py",
+          "except ValueError:  # recordio's line break error",
+          "except KeyError:  # recordio's line break error", ("tests/test_eamodel.py",)),
 ]
 
 

@@ -26,6 +26,7 @@ import pytest
 
 from riskalign.builtin_tables import builtin_ruleset
 from riskalign.classify import (
+    ClassificationSet,
     apply_review,
     classify_model,
     parse_overlay,
@@ -926,6 +927,8 @@ def line_end_variant(kind: str, variant: str, end: str) -> str:
         lines[3] = lines[3].replace(" ", "\r", 1)
     elif variant == "bom":  # a leading byte order mark, which every reader drops
         lines[0] = "\ufeff" + lines[0]
+    elif variant == "bom2":  # two marks: every reader drops one and rejects the other
+        lines[0] = "\ufeff\ufeff" + lines[0]
     return end.join(lines) + end
 
 
@@ -956,7 +959,7 @@ class TestLineEnds:
             return 2, f"error: {exc}"
 
     @pytest.mark.parametrize("variant",
-                             ["plain", "cr-in-comment", "cr-in-field", "bom"])
+                             ["plain", "cr-in-comment", "cr-in-field", "bom", "bom2"])
     @pytest.mark.parametrize("end", LINE_ENDS)
     @pytest.mark.parametrize("kind", LINE_END_TEXTS)
     def test_cli_reads_line_ends_as_the_library_parsers_do(
@@ -978,7 +981,9 @@ class TestLineEnds:
             assert out == ""
             out = err.split("\n")[-2]  # the error line ends stderr
         assert (code, out) == self.library(kind, text, str(path), lab)
-        if variant != "cr-in-field":  # every record is read, as from the "\n" text
+        if variant == "bom2":
+            assert code == 2
+        elif variant != "cr-in-field":  # every record is read, as from the "\n" text
             plain = line_end_variant(kind, "plain", "\n")
             assert (code, out) == self.library(kind, plain, str(path), lab)
             assert code != 2
@@ -1408,3 +1413,24 @@ class TestConsoleScript(EntryPointChecks, ClosedPipeChecks, FullDeviceChecks):
     script instead of python -m riskalign.cli."""
 
     launcher = SCRIPT
+
+
+def test_register_and_supports_calls_never_build_every_fact(capsys, lab, monkeypatch):
+    """validate, report coverage, trace and query supports read the facts of
+    the elements they name and the definite holders, never the whole facts
+    tuple, which classify builds."""
+    built = []
+    every_fact = ClassificationSet.__dict__["facts"].func
+    monkeypatch.setattr(ClassificationSet, "facts",
+                        property(lambda self: built.append(1) or every_fact(self)))
+    common = ["--ruleset", "archimate21", "--overlay", lab["overlay"]]
+    for model in (lab["model"], lab["tab"]):
+        for argv in (["validate", "--register", lab["register"]],
+                     ["report", "coverage", "--register", lab["register"]],
+                     ["trace", "r1", "--register", lab["register"]],
+                     ["query", "supports", "dev-tablet"]):
+            code, out, err = run(capsys, *argv, "--model", model, *common)
+            assert code in (0, 1) and out, (argv, err)
+    assert built == []
+    assert run(capsys, "classify", "--model", lab["tab"], *common)[0] == 0
+    assert built == [1]

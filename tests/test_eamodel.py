@@ -173,6 +173,13 @@ def test_parse_tabular_errors_carry_line_numbers(text, line):
     assert exc.value.line == line
 
 
+@pytest.mark.parametrize("first", ["FRAMEWORK", "FRAMEWORK|iaf|extra"])
+def test_parse_tabular_first_record_needs_two_fields(first):
+    with pytest.raises(ModelFormatError) as exc:
+        parse_tabular(first + "\nE|a|actor||\n")
+    assert str(exc.value) == "line 1: expected FRAMEWORK|<id> as the first record"
+
+
 def test_relationship_with_empty_id_rejected_at_its_line():
     with pytest.raises(LineError) as exc:
         parse_tabular("FRAMEWORK|iaf\nE|a|actor||\nR||flow|a|a\n")
@@ -189,6 +196,27 @@ def test_export_then_parse_is_identity():
     m = parse_tabular(GOOD)
     again = parse_tabular(export_tabular(m))
     assert again == m
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r"])
+@pytest.mark.parametrize("what,field,build", [
+    ("element", "id", lambda b: ([EAElement(f"a{b}", "actor")], [])),
+    ("element", "concept_name", lambda b: ([EAElement("a", f"act{b}or")], [])),
+    ("element", "name", lambda b: ([EAElement("a", "actor", f"x{b}y")], [])),
+    ("element", "attributes", lambda b: ([EAElement("a", "actor", "", {f"k{b}": "v"})], [])),
+    ("element", "attributes", lambda b: ([EAElement("a", "actor", "", {"k": f"{b}v"})], [])),
+    ("relationship", "kind",
+     lambda b: ([EAElement("a", "actor")], [EARelationship("r", f"fl{b}ow", "a", "a")])),
+    ("relationship", "id",
+     lambda b: ([EAElement("a", "actor")], [EARelationship(f"r{b}", "flow", "a", "a")])),
+])
+def test_export_names_the_field_with_a_line_break(brk, what, field, build):
+    elements, relationships = build(brk)
+    model = EAModel("iaf", elements, relationships)
+    record = (relationships or elements)[0]
+    with pytest.raises(ModelStructureError) as exc:
+        export_tabular(model)
+    assert str(exc.value) == f"{what} {record.id!r} has a line break in its {field}"
 
 
 def test_escaped_pipe_in_name():

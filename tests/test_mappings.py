@@ -372,3 +372,22 @@ def test_parse_ruleset_rejects_a_condition_key_with_whitespace():
     with pytest.raises(RulesetFormatError, match="contains whitespace") as exc:
         parse_ruleset(text)
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("header", ["RULESET|iaf", "RULESET|iaf|note|extra"])
+def test_parse_ruleset_header_needs_three_fields(header):
+    with pytest.raises(RulesetFormatError) as exc:
+        parse_ruleset(header + "\nrole|Business|Asset|||\n")
+    assert str(exc.value) == (
+        "line 1: expected RULESET|<framework>|<note> as the first record"
+    )
+
+
+def test_rulesets_differing_in_one_field_are_unequal():
+    rules = [rule("actor", ConceptTarget(C.IS_ASSET))]
+    base = Ruleset("iaf", "note", rules)
+    assert base == Ruleset("iaf", "note", list(rules))
+    assert base != Ruleset("togaf91", "note", [r._replace(framework="togaf91")
+                                               for r in rules])
+    assert base != Ruleset("iaf", "other note", rules)
+    assert base != Ruleset("iaf", "note", [rule("actor", ConceptTarget(C.ASSET))])
