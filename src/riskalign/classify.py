@@ -120,7 +120,6 @@ class ClassificationSet:
         # the facts of each element known so far: computed, given or reviewed
         self._known: dict[str, tuple[ClassificationFact, ...]] = {}
         if facts is None:
-            self._plan = cache(partial(_concept_plan, ruleset))
             return
         self._plan = lambda concept_name: None
         self.facts = facts
@@ -131,6 +130,7 @@ class ClassificationSet:
     unmapped = property(lambda self: self._grouped[1])
     unknown = property(lambda self: self._grouped[2])
     warnings = property(lambda self: self._grouped[3])
+    _plan = cached_property(lambda self: cache(partial(_concept_plan, self.ruleset)))
 
     def facts_for(self, element_id: str) -> tuple[ClassificationFact, ...]:
         facts = self._known.get(element_id)
@@ -337,7 +337,8 @@ def apply_review(
     definite Asset facts to the subtype. Anything else is a ReviewError.
 
     The new set keeps the edited fact groups as overrides and shares the
-    rest with the classification: its plans, unmapped, unknown and warnings.
+    rest with the classification: its plans and its grouped pass, which
+    runs here if the classification has not run it yet.
     """
     edited: dict[str, list[ClassificationFact]] = {}  # the groups a verdict names
     for entry in overlay.entries:
