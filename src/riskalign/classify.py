@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
+from collections.abc import Mapping
 from functools import cache, cached_property, partial
+from operator import itemgetter
 from typing import NamedTuple
 
 from .concepts import ISSRMConcept, parse_concept
@@ -88,7 +90,8 @@ class ClassificationFact(NamedTuple):
 
 def classify_element(ruleset: Ruleset, element: EAElement) -> list[ClassificationFact]:
     """Facts for one element, in table order. Empty for unmapped or unknown."""
-    return list(_facts(_concept_plan(ruleset, element.concept_name), element))
+    return _facts(_concept_plan(ruleset, element.concept_name), (element.id,),
+                  {element.id: element})
 
 
 class ClassificationSet:
@@ -99,11 +102,11 @@ class ClassificationSet:
     fact, unmapped, unknown.
 
     Each part is computed on its first read and kept. An element's facts come
-    from its concept's plan, resolved once per concept name, and facts is
-    built from them. unmapped, unknown, warnings and the definite holders of
-    each concept come from one pass over the element ids grouped by concept
-    name, where only a conditional plan evaluates its elements. A set built
-    from explicit facts knows every element's facts from the start.
+    from its concept's plan, resolved once per concept name. unmapped,
+    unknown, warnings and the definite holders of each concept come from one
+    pass over the element ids grouped by concept name, where only a conditional
+    plan evaluates its elements; facts is built from the same groups. A set
+    built from explicit facts knows every element's facts from the start.
     """
 
     def __init__(
@@ -123,13 +126,13 @@ class ClassificationSet:
             return
         self._plan = lambda concept_name: None
         self.facts = facts
-        self._grouped = ({}, unmapped, unknown, warnings)
+        self._grouped = ({}, {}, unmapped, unknown, warnings)
         for fact in facts:
             self._known[fact.element_id] = (*self._known.get(fact.element_id, ()), fact)
 
-    unmapped = property(lambda self: self._grouped[1])
-    unknown = property(lambda self: self._grouped[2])
-    warnings = property(lambda self: self._grouped[3])
+    unmapped = property(lambda self: self._grouped[2])
+    unknown = property(lambda self: self._grouped[3])
+    warnings = property(lambda self: self._grouped[4])
     _plan = cached_property(lambda self: cache(partial(_concept_plan, self.ruleset)))
 
     def facts_for(self, element_id: str) -> tuple[ClassificationFact, ...]:
@@ -138,8 +141,8 @@ class ClassificationSet:
             element = self.model.elements.get(element_id)
             if element is None:
                 return ()
-            facts = self._known[element_id] = _facts(self._plan(element.concept_name),
-                                                     element)
+            facts = self._known[element_id] = tuple(_facts(
+                self._plan(element.concept_name), (element_id,), self.model.elements))
         return facts
 
     def definite_concepts(self, element_id: str) -> frozenset[ISSRMConcept]:
@@ -156,22 +159,21 @@ class ClassificationSet:
 
     @cached_property
     def facts(self) -> tuple[ClassificationFact, ...]:
-        """Every fact, in element id then row order; its groups are not kept."""
+        """Every fact by element id then row, built group by group, sorted once."""
         known, index = self._known, self.model.elements
-        facts: list[ClassificationFact] = []
-        for element_id in sorted(index):
-            group = known.get(element_id)
-            if group is None:
-                element = index[element_id]
-                group = _facts(self._plan(element.concept_name), element)
-            facts.extend(group)
+        facts = [fact for group in known.values() for fact in group]
+        for concept_name, ids in self._grouped[0].items():
+            if known:
+                ids = [element_id for element_id in ids if element_id not in known]
+            facts += _facts(self._plan(concept_name), ids, index)
+        facts.sort(key=itemgetter(0))  # stable: row order per element
         return tuple(facts)
 
     @cached_property
-    def _grouped(self) -> tuple[dict[ISSRMConcept, set[str]], tuple[str, ...],
-                                tuple[str, ...], tuple[str, ...]]:
-        """The elements that definitely hold each concept by their plans,
-        then unmapped, unknown and warnings."""
+    def _grouped(self) -> tuple[dict[str, list[str]], dict[ISSRMConcept, set[str]],
+                                tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+        """Element ids by concept name, the elements that definitely hold each
+        concept by their plans, then unmapped, unknown and warnings."""
         groups: dict[str, list[str]] = defaultdict(list)
         index = self.model.elements
         for element_id, element in index.items():
@@ -198,7 +200,7 @@ class ClassificationSet:
                     if step.warning:
                         warnings.extend((i, f"{i}: {step.warning}") for i in members)
         warnings.sort(key=lambda pair: pair[0])  # stable: row order per element
-        return (holders, tuple(sorted(unmapped)), tuple(sorted(unknown)),
+        return (groups, holders, tuple(sorted(unmapped)), tuple(sorted(unknown)),
                 tuple(text for _, text in warnings))
 
     @cached_property
@@ -207,7 +209,7 @@ class ClassificationSet:
         its plan's."""
         known = self._known
         holders = {concept: ids.difference(known)
-                   for concept, ids in self._grouped[0].items()}
+                   for concept, ids in self._grouped[1].items()}
         for element_id, facts in known.items():
             for fact in facts:
                 if fact.tier is Tier.DEFINITE:
@@ -263,17 +265,18 @@ def _concept_plan(ruleset: Ruleset, concept_name: str) -> _ConceptPlan | None:
     return _ConceptPlan(tuple(steps), any(step.condition is not None for step in steps))
 
 
-def _facts(plan: _ConceptPlan | None,
-           element: EAElement) -> tuple[ClassificationFact, ...]:
-    """The element's facts by its concept's plan, in table order; empty when
-    there is no plan."""
+def _facts(plan: _ConceptPlan | None, ids: list[str] | tuple[str, ...],
+           index: Mapping[str, EAElement]) -> list[ClassificationFact]:
+    """The facts of these ids' elements, which share a concept's plan, in table
+    order per element; none without a plan. Only a conditional plan reads index."""
     if plan is None:
-        return ()
-    steps = _steps(plan, element) if plan.conditional else plan.steps
+        return []
     new = tuple.__new__  # facts without their Python-level __new__
-    if len(steps) == 1:  # most elements: no comprehension to call
-        return (new(ClassificationFact, (element.id, *steps[0].fact)),)
-    return tuple([new(ClassificationFact, (element.id, *step.fact)) for step in steps])
+    if plan.conditional:
+        return [new(ClassificationFact, (i, *step.fact))
+                for i in ids for step in _steps(plan, index[i])]
+    steps = plan.steps
+    return [new(ClassificationFact, (i, *step.fact)) for i in ids for step in steps]
 
 
 def _steps(plan: _ConceptPlan, element: EAElement) -> tuple[_Step, ...]:
@@ -426,16 +429,19 @@ def render_unmapped_records(entries: list[UnmappedEntry]) -> str:
     )
 
 
-def _fact_cells(facts: tuple[ClassificationFact, ...]) -> list[tuple[str, str, str]]:
-    """The target, mapping type and tier texts of each fact. Facts share few
-    distinct (target, mapping type, tier) cells, and each is rendered once."""
-    rendered: dict[tuple[TargetSpec, MappingType, Tier], tuple[str, str, str]] = {}
+def _fact_cells(facts: tuple[ClassificationFact, ...]) -> list[tuple[str, ...]]:
+    """The target, mapping type, tier and provenance texts of each fact. Facts
+    share few distinct cells, each rendered once and keyed by the ids of the
+    objects the facts keep alive, so no enum member is hashed per fact."""
+    rendered: dict[tuple[int, int, int, str, int], tuple[str, ...]] = {}
     cells = []
     for fact in facts:
-        key = (fact.target, fact.mapping_type, fact.tier)
+        _, target, mapping_type, tier, framework, row, _ = fact
+        key = (id(target), id(mapping_type), id(tier), framework, row)
         cell = rendered.get(key)
         if cell is None:
-            cell = rendered[key] = (serialize_target(key[0]), str(key[1]), str(key[2]))
+            cell = rendered[key] = (serialize_target(target), str(mapping_type),
+                                    str(tier), fact.provenance)
         cells.append(cell)
     return cells
 
@@ -444,8 +450,7 @@ def render_facts_records(classification: ClassificationSet) -> str:
     """Record-format report: F lines, then U lines, then X lines."""
     facts = classification.facts
     rows: list[tuple[str, ...]] = [
-        ("F", fact.element_id, *cell, fact.provenance)
-        for fact, cell in zip(facts, _fact_cells(facts))
+        ("F", fact.element_id, *cell) for fact, cell in zip(facts, _fact_cells(facts))
     ]
     rows.extend(
         ("U", entry.element_id, entry.reason)
@@ -459,12 +464,11 @@ def render_facts_text(classification: ClassificationSet) -> str:
     """Human-readable report, one line per fact."""
     facts, index = classification.facts, classification.model.elements
     lines = [f"facts: {len(facts)}"]
-    for fact, (target, mapping, tier) in zip(facts, _fact_cells(facts)):
+    for fact, (target, mapping, tier, provenance) in zip(facts, _fact_cells(facts)):
         suffix = ", confirmed" if fact.confirmed else ""
         lines.append(
             f"  {fact.element_id} ({index[fact.element_id].name}) -> "
-            f"{target} [{mapping or 'unspecified'}, {tier}{suffix}] "
-            f"{fact.provenance}"
+            f"{target} [{mapping or 'unspecified'}, {tier}{suffix}] {provenance}"
         )
     lines.append(f"unmapped: {len(classification.unmapped)}")
     for entry in unmapped_report(classification):

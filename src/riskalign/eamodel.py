@@ -80,6 +80,7 @@ class EAModel:
     parse_tabular checks these with line numbers as it reads, so it builds
     its model through _checked, which does not check them again.
     Equality ignores the source description and importer warnings.
+    elements is a read-only view of the element index, built once per model.
     """
 
     def __init__(
@@ -94,6 +95,7 @@ class EAModel:
         self.source = source
         self.warnings = tuple(warnings)
         self._elements: dict[str, EAElement] = {}
+        self.elements = MappingProxyType(self._elements)
         for elem in elements:
             if elem.id in self._elements:
                 raise DuplicateIdError(f"duplicate element id {elem.id!r}")
@@ -126,13 +128,9 @@ class EAModel:
         model.source = source
         model.warnings = ()
         model._elements = elements
+        model.elements = MappingProxyType(elements)
         model.relationships = relationships
         return model
-
-    @property
-    def elements(self) -> MappingProxyType[str, EAElement]:
-        """A read-only view of the element index, in insertion order."""
-        return MappingProxyType(self._elements)
 
     def element(self, element_id: str) -> EAElement:
         try:

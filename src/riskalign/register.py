@@ -144,6 +144,7 @@ def parse_risk_catalog(text: str, classification: ClassificationSet) -> RiskRegi
     treatments: dict[str, TreatmentSpec] = {}
     requirements: dict[str, RequirementSpec] = {}
     declared: set[str] = set()
+    new = tuple.__new__  # records from checked fields, without their Python-level __new__
 
     def declare(record_id: str, lineno: int) -> None:
         if not record_id:
@@ -186,7 +187,7 @@ def parse_risk_catalog(text: str, classification: ClassificationSet) -> RiskRegi
             _, req_id, ctrl_id, ctrl_text = fields
             requirement = _known(requirements, "requirement", req_id, lineno)
             declare(ctrl_id, lineno)
-            requirement.controls.append(ControlSpec(ctrl_id, ctrl_text))
+            requirement.controls.append(new(ControlSpec, (ctrl_id, ctrl_text)))
         elif tag == "CRIT":
             _, crit_id, name, constrained = fields
             declare(crit_id, lineno)

@@ -96,6 +96,29 @@ def test_join_records_matches_reference():
                 == outcome(oracles.join_records_per_field, rows)), rows
 
 
+@pytest.mark.parametrize("kind", ["clean", "escaped", "mixed", "line break"])
+def test_join_records_matches_per_field_reference_on_documents(kind):
+    """join_records checks a whole document once and, only if that fails,
+    line by line. Clean documents pass the one check; escaped and mixed ones
+    fail it on a backslash or on the pipe count alone; a line break raises
+    the per-field reference's ValueError. Row lists and rows may be empty."""
+    rng = random.Random(20)
+    drawn = random_strings(21, 20_000, 6)
+    clean = [s for s in drawn if not any(c in s for c in "\\|\r")]
+    escaped = [s for s in drawn if ("\\" in s or "|" in s) and "\r" not in s]
+    pipes = [s for s in escaped if "\\" not in s]
+    pool = {"clean": clean, "escaped": escaped, "mixed": clean * 20 + escaped + pipes,
+            "line break": clean * 20 + escaped + ["a\nb", "\n", "x\r\n", "\r"]}[kind]
+    raised = 0
+    for _ in range(DRAWS // 10):
+        rows = [tuple(rng.choices(pool, k=rng.randint(0, 5))) for _ in range(rng.randint(0, 8))]
+        got = outcome(recordio.join_records, iter(rows))  # callers pass generators too
+        assert got == outcome(oracles.join_records_per_field, rows), rows
+        raised += not isinstance(got, str)
+    assert (raised > 0) == (kind == "line break")
+    assert recordio.join_records([]) == ""
+
+
 # hypothesis: the dense alphabet, mixed with any character but a line break
 dense_text = st.text(
     alphabet=st.one_of(st.sampled_from(ALPHABET), st.characters(blacklist_characters="\n")),
