@@ -98,8 +98,9 @@ class ClassificationSet:
     """Outcome of classifying one model with one ruleset.
 
     Facts are ordered by element id then table row; unmapped and unknown are
-    sorted element ids. Every model element lands in exactly one of: has a
-    fact, unmapped, unknown.
+    sorted element ids. Classifying puts every model element in exactly one of:
+    has a fact, unmapped, unknown. A reviewed set keeps the classification's
+    unmapped and unknown, so an element with every candidate rejected is in none.
 
     Each part is computed on its first read and kept. An element's facts come
     from its concept's plan, resolved once per concept name. unmapped,

@@ -201,25 +201,24 @@ def parse_tabular(text: str, source: str = "") -> EAModel:
     Each distinct concept and relationship token is normalized once, and
     ids and endpoints are checked here, once, as the element index is built.
     """
-    framework: str | None = None
+    records = recordio.iter_records(text)
+    lineno, fields = next(records, (None, None))
+    if fields is None:
+        raise ModelFormatError("empty model text; FRAMEWORK record missing")
+    if fields[0] != "FRAMEWORK" or len(fields) != 2:
+        raise ModelFormatError("expected FRAMEWORK|<id> as the first record", lineno)
+    try:
+        framework = check_framework(fields[1])
+    except UnknownFrameworkError as exc:
+        raise ModelFormatError(str(exc), lineno) from None
     elements: dict[str, EAElement] = {}
     relationships: list[EARelationship] = []
     rel_ids: set[str] = set()
     normalized: dict[str, str] = {}
     new = tuple.__new__  # records from checked fields, without their Python-level __new__
 
-    for lineno, fields in recordio.iter_records(text):
+    for lineno, fields in records:
         tag = fields[0]
-        if framework is None:
-            if tag != "FRAMEWORK" or len(fields) != 2:
-                raise ModelFormatError(
-                    "expected FRAMEWORK|<id> as the first record", lineno
-                )
-            try:
-                framework = check_framework(fields[1])
-            except UnknownFrameworkError as exc:
-                raise ModelFormatError(str(exc), lineno) from None
-            continue
         if tag == "E":
             if len(fields) != 5:
                 raise ModelFormatError(
@@ -259,8 +258,6 @@ def parse_tabular(text: str, source: str = "") -> EAModel:
         else:
             raise ModelFormatError(f"unknown record tag {tag!r}", lineno)
 
-    if framework is None:
-        raise ModelFormatError("empty model text; FRAMEWORK record missing")
     return EAModel._checked(framework, elements, tuple(relationships), source)
 
 

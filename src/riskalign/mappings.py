@@ -266,9 +266,9 @@ def source_synonyms(source: str) -> tuple[str, ...]:
 
     parts = [p.strip() for p in source.split("/") if p.strip()]
     head_words = parts[0].split() if parts else []
-    for index, part in enumerate(parts):
+    for part in parts:
         expanded = part
-        if index > 0 and len(part.split()) == 1 and len(head_words) > 1:
+        if len(part.split()) == 1 and len(head_words) > 1:
             expanded = " ".join(head_words[:-1] + [part])
         for variant in _parenthetical_variants(expanded):
             if variant and variant not in names:
@@ -285,9 +285,7 @@ def _parenthetical_variants(name: str) -> list[str]:
     if _ATTACHED.search(name):
         variants.append(normalize_name(_ATTACHED.sub(r"\1", name)))
         variants.append(normalize_name(_ATTACHED.sub(r"\1\2", name)))
-    stripped = normalize_name(_FREESTANDING.sub(" ", name))
-    if stripped and stripped != name:
-        variants.append(stripped)
+    variants.append(normalize_name(_FREESTANDING.sub(" ", name)))
     return variants
 
 
@@ -357,22 +355,23 @@ def resolve_rules(
 
 def parse_ruleset(text: str) -> Ruleset:
     """Parse ruleset text. Errors carry 1-based line numbers."""
-    header: tuple[str, str] | None = None
+    records = recordio.iter_records(text)
+    lineno, fields = next(records, (None, None))
+    if fields is None:
+        raise RulesetFormatError("empty ruleset text; RULESET record missing")
+    if fields[0] != "RULESET" or len(fields) != 3:
+        raise RulesetFormatError(
+            "expected RULESET|<framework>|<note> as the first record", lineno
+        )
+    try:
+        header = (check_framework(fields[1]), fields[2])
+    except UnknownFrameworkError as exc:
+        raise RulesetFormatError(str(exc), lineno) from None
     rules: list[AlignmentRule] = []
     row = 0
     previous_key: tuple[str, str] | None = None
 
-    for lineno, fields in recordio.iter_records(text):
-        if header is None:
-            if fields[0] != "RULESET" or len(fields) != 3:
-                raise RulesetFormatError(
-                    "expected RULESET|<framework>|<note> as the first record", lineno
-                )
-            try:
-                header = (check_framework(fields[1]), fields[2])
-            except UnknownFrameworkError as exc:
-                raise RulesetFormatError(str(exc), lineno) from None
-            continue
+    for lineno, fields in records:
         if len(fields) != 6:
             raise RulesetFormatError(
                 f"rule line needs 6 fields, got {len(fields)}", lineno
@@ -404,8 +403,6 @@ def parse_ruleset(text: str) -> Ruleset:
             )
         )
 
-    if header is None:
-        raise RulesetFormatError("empty ruleset text; RULESET record missing")
     return Ruleset(header[0], header[1], rules)
 
 

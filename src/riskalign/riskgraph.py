@@ -181,11 +181,6 @@ _ENDPOINT_RULES: dict[
         _TARGET,
     ),
 }
-# Each member carries its rule, so check_edge reads kind._endpoints
-# instead of hashing the member for a dict lookup.
-for _kind, _rule in _ENDPOINT_RULES.items():
-    _kind._endpoints = _rule
-del _kind, _rule
 
 # The part_of shape, one row per legal (part concept, whole concept) pair:
 # the word findings use for the part, the code for a whole with more than one
@@ -310,7 +305,7 @@ def check_edge(found: set[Violation], kind: RelationKind, source: str, target: s
                source_concept: ISSRMConcept, target_concept: ISSRMConcept) -> None:
     """Add to found the endpoint findings of a kind edge between ends of the given
     concepts; an edge with legal ends builds nothing."""
-    source_kinds, target_kinds, target_code = kind._endpoints
+    source_kinds, target_kinds, target_code = _ENDPOINT_RULES[kind]
     if source_concept in source_kinds and target_concept in target_kinds:
         return
     for end, concept, kinds, code in (

@@ -146,6 +146,23 @@ FAULTS = [
           "!= len(rows)):",
           ("tests/test_recordio.py", "tests/test_recordio_reference.py",
            "tests/test_library_fuzz.py")),
+    # the record parsers check the header before their record loop
+    Fault("a FRAMEWORK header needs only its tag or its field count",
+          "src/riskalign/eamodel.py",
+          'if fields[0] != "FRAMEWORK" or len(fields) != 2:',
+          'if fields[0] != "FRAMEWORK" and len(fields) != 2:',
+          ("tests/test_eamodel.py",)),
+    Fault("a RULESET header needs only its tag or its field count",
+          "src/riskalign/mappings.py",
+          'if fields[0] != "RULESET" or len(fields) != 3:',
+          'if fields[0] != "RULESET" and len(fields) != 3:',
+          ("tests/test_mappings.py",)),
+    # riskgraph.check_edge reads each kind's endpoint rule
+    Fault("check_edge reads its source and target kinds swapped",
+          "src/riskalign/riskgraph.py",
+          "source_kinds, target_kinds, target_code = _ENDPOINT_RULES[kind]",
+          "target_kinds, source_kinds, target_code = _ENDPOINT_RULES[kind]",
+          ("tests/test_riskgraph.py", *REGISTER_TESTS)),
     # one byte order mark drop per format, and no bare ValueError from export
     Fault("the CLI drops a byte order mark before the record readers",
           "src/riskalign/cli.py",

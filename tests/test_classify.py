@@ -266,6 +266,19 @@ def test_review_acts_only_on_the_candidate_beside_a_definite_fact():
     assert review("confirm") == (definite, promoted)
 
 
+def test_review_keeps_unmapped_and_unknown_so_a_rejected_element_is_in_none():
+    model = parse_tabular("FRAMEWORK|archimate21\nE|d|driver|Conf|\nE|z|zzz||\n")
+    classification = classify_model(builtin_ruleset("archimate21"), model)
+    (fact,) = classification.facts_for("d")
+    assert fact.tier is Tier.CANDIDATE
+    overlay = parse_overlay("REVIEW|d|SecurityCriterion|reject|no\n")
+    reviewed = apply_review(classification, overlay)
+    assert reviewed.facts_for("d") == () and reviewed.facts == ()
+    assert reviewed.unmapped == classification.unmapped
+    assert reviewed.unknown == classification.unknown == ("z",)
+    assert "d" not in (*reviewed.unmapped, *reviewed.unknown)
+
+
 def test_reject_definite_fact_fails(lab_classification):
     overlay = parse_overlay("REVIEW|dev-tablet|ISAsset|reject|\n")
     with pytest.raises(ReviewError):

@@ -157,6 +157,8 @@ def test_parse_tabular_basic():
     [
         ("E|a|actor||", 1),
         ("FRAMEWORK|nothing\n", 1),
+        ("# c\n\n  \nE|a|actor||\n", 4),
+        ("# c\n\n  \nFRAMEWORK|nothing\n", 4),
         ("FRAMEWORK|iaf\nE|a|actor|", 2),
         ("FRAMEWORK|iaf\nE||actor||", 2),
         ("FRAMEWORK|iaf\nE|a|actor||\nE|a|actor||", 3),
@@ -188,8 +190,11 @@ def test_relationship_with_empty_id_rejected_at_its_line():
 
 
 def test_parse_tabular_empty_text():
-    with pytest.raises(ModelFormatError):
-        parse_tabular("# nothing here\n")
+    for text in ("", "# nothing here\n", "\ufeff\n  \r\n# c\r"):
+        with pytest.raises(ModelFormatError) as exc:
+            parse_tabular(text)
+        assert str(exc.value) == "empty model text; FRAMEWORK record missing"
+        assert exc.value.line is None
 
 
 def test_export_then_parse_is_identity():

@@ -350,6 +350,8 @@ def test_serialize_parse_identity():
     [
         ("role|Business|Asset|||", 1),
         ("RULESET|unknownfw|x\n", 1),
+        ("# c\n\n  \nrole|Business|Asset|||\n", 4),
+        ("# c\n\n  \nRULESET|nothing|x\n", 4),
         ("RULESET|iaf|x\nrole|Business|Asset||", 2),
         ("RULESET|iaf|x\nrole|Business|NotAConcept|||", 2),
         ("RULESET|iaf|x\nrole|Business|Asset||novalue|", 2),
@@ -363,8 +365,17 @@ def test_parse_ruleset_errors_carry_line_numbers(text, line):
 
 
 def test_parse_ruleset_empty_text():
-    with pytest.raises(RulesetFormatError):
-        parse_ruleset("# only a comment\n")
+    for text in ("", "# only a comment\n", "\ufeff\n  \r\n# c\r"):
+        with pytest.raises(RulesetFormatError) as exc:
+            parse_ruleset(text)
+        assert str(exc.value) == "empty ruleset text; RULESET record missing"
+        assert exc.value.line is None
+
+
+def test_parse_ruleset_second_header_is_a_short_rule_line():
+    with pytest.raises(RulesetFormatError) as exc:
+        parse_ruleset("RULESET|iaf|x\nrole|Business|Asset|||\nRULESET|iaf|y\n")
+    assert str(exc.value) == "line 3: rule line needs 6 fields, got 3"
 
 
 def test_parse_ruleset_rejects_a_condition_key_with_whitespace():
