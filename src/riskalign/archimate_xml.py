@@ -6,18 +6,20 @@ relationship types are taken from the xsi:type (or plain type) attribute and
 mapped to the normalized concept names used by the alignment rules; unknown
 type tokens are kept, normalized, and reported as model warnings so they can
 surface later as unknown-concept classifications.
+
+Expat handlers read the text in one pass without a node tree: a record is
+built from its start tag, an element's name and properties from its children.
 """
 
 from __future__ import annotations
 
 import re
-import xml.etree.ElementTree as ET
-from collections.abc import Iterator, Sequence
+from pyexpat import ErrorString, ExpatError, ParserCreate
 
 from .eamodel import EAElement, EAModel, EARelationship, normalize_name
 from .errors import ModelFormatError
 
-_XSI_TYPE = "{http://www.w3.org/2001/XMLSchema-instance}type"
+_XSI_TYPE = "http://www.w3.org/2001/XMLSchema-instance}type"
 _SLICE = 1 << 16  # characters fed to the parser at a time
 _CONTAINERS = {"elements": "element", "relationships": "relationship"}
 
@@ -67,95 +69,55 @@ ELEMENT_TOKENS: dict[str, str] = {
 
 _CAMEL = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
 
+# One (role, owner) frame per open node. A container's role is its record tag
+# and a kept element's properties have the role "property": a child with that
+# local name is read. The other two roles match no local name.
+_ELEMENT = "<element>"  # a kept element: its first name and properties are read
+_NAME = "<name>"  # a kept element's first name: its text is read
+_SKIP = ("", None)  # a node whose children are not read
+
 
 def _one_line(text: str) -> str:
     """Replace each line break with one space; model records are single-line."""
     return text.replace("\r\n", " ").replace("\r", " ").replace("\n", " ")
 
 
-def _id_attr(node: ET.Element, name: str, alias: str = "") -> str:
-    """The first non-empty id attribute of the two; ids cannot span lines."""
-    value = node.get(name) or node.get(alias) or ""
-    if "\n" in value or "\r" in value:
-        raise ModelFormatError(f"{name} {value!r} contains a line break")
-    return value
-
-
-def _relationship_kind(token: str) -> str:
-    if token.endswith("Relationship"):
-        token = token[: -len("Relationship")]
-    return normalize_name(_CAMEL.sub(" ", token))
-
-
-def _record(
-    node: ET.Element,
-    record_tag: str,
-    local: dict[str, str],
-    kinds: dict[str, str],
-) -> tuple[EAElement | EARelationship, Sequence[str]]:
-    """The record of a closed element or relationship node, with the
-    warnings it raises."""
-    rec_id = _id_attr(node, "identifier", "id")
-    if not rec_id:
-        raise ModelFormatError(f"{record_tag} without an identifier attribute")
-    token = node.get(_XSI_TYPE) or node.get("type") or ""
+def _id_and_token(attrs: dict[str, str], record_tag: str) -> tuple[str, str]:
+    """A record's id and type token, read from its start tag's attributes."""
+    rec_id = attrs.get("identifier") or attrs.get("id") or ""
+    if not rec_id or "\n" in rec_id or "\r" in rec_id:  # ids cannot span lines
+        raise ModelFormatError(f"identifier {rec_id!r} contains a line break" if rec_id
+                               else f"{record_tag} without an identifier attribute")
+    token = attrs.get(_XSI_TYPE) or attrs.get("type") or ""
     # some exports prefix the type with the archimate namespace alias
     token = token.rpartition(":")[2].strip()
     if not token:
         raise ModelFormatError(f"{record_tag} {rec_id!r} has no type")
-    if record_tag == "relationship":
-        src, dst = _id_attr(node, "source"), _id_attr(node, "target")
-        if not (src and dst):
-            end = "target" if src else "source"
-            raise ModelFormatError(f"relationship {rec_id!r} has no {end}")
-        kind = kinds.get(token) or kinds.setdefault(token, _relationship_kind(token))
-        return EARelationship(rec_id, kind, src, dst), ()
-    warnings: list[str] = []
-    concept_name = ELEMENT_TOKENS.get(token)
-    if concept_name is None:
-        concept_name = normalize_name(token)
-        warnings.append(f"unknown element type token {token!r} on {rec_id!r}")
-    name: str | None = None
-    attrs: dict[str, str] = {}
-    for child in node:  # every child has closed, so its tag is in local
-        part = local[child.tag]
-        if name is None and part in ("name", "label"):
-            name = _one_line((child.text or "").strip())
-        for prop in child if part == "properties" else ():
-            if local[prop.tag] == "property":
-                key = _one_line(prop.get("key") or prop.get("name") or "")
-                if key and key in attrs:
-                    warnings.append(f"element {rec_id!r} repeats property key "
-                                    f"{key!r}; the last value is kept")
-                attrs[key] = _one_line(prop.get("value") or "")
-    attrs.pop("", None)
-    return EAElement(rec_id, concept_name, name or "", attrs), warnings
+    return rec_id, token
 
 
-def _end_events(text: str) -> Iterator[tuple[str, ET.Element]]:
-    """Feed text to a pull parser in slices; yield each node as it closes."""
-    parser = ET.XMLPullParser(("end",))
-    for start in range(0, len(text), _SLICE):
-        try:
-            parser.feed(text[start : start + _SLICE])
-        except UnicodeEncodeError as exc:  # a lone surrogate in a str
-            raise ModelFormatError(
-                f"not encodable as UTF-8 at character offset {start + exc.start}"
-            ) from None
-        yield from parser.read_events()
-    parser.close()
-    yield from parser.read_events()
+def _relationship(attrs: dict[str, str], kinds: dict[str, str]) -> EARelationship:
+    """A relationship from its start tag's attributes; kinds caches each token's."""
+    rec_id, token = _id_and_token(attrs, "relationship")
+    src, dst = attrs.get("source") or "", attrs.get("target") or ""
+    if not (src and dst) or "\n" in src + dst or "\r" in src + dst:
+        for end, value in (("source", src), ("target", dst)):
+            if "\n" in value or "\r" in value:
+                raise ModelFormatError(f"{end} {value!r} contains a line break")
+        end = "target" if src else "source"
+        raise ModelFormatError(f"relationship {rec_id!r} has no {end}")
+    kind = kinds.get(token) or kinds.setdefault(
+        token, normalize_name(_CAMEL.sub(" ", token.removesuffix("Relationship"))))
+    return tuple.__new__(EARelationship, (rec_id, kind, src, dst))
 
 
 def import_archimate(data: str | bytes, source: str = "") -> EAModel:
     """Parse exchange-format XML into an EAModel tagged archimate21.
 
-    One pass builds each element and relationship as its node closes, then
-    clears the node; a container keeps its children's records when it
-    closes, then detaches them. Records follow the pre-order of their
-    containers, as a walk of the whole tree would. Errors wait for the end
-    of the parse and come in this order: malformed XML, a root other than
-    <model>, the first bad element, the first bad relationship.
+    Records follow the pre-order of their containers, as a walk of the whole
+    tree would. Errors wait for the end of the parse and come in this order:
+    malformed XML, a root other than <model>, the first bad element, the
+    first bad relationship.
     """
     if isinstance(data, bytes):
         try:
@@ -164,56 +126,91 @@ def import_archimate(data: str | bytes, source: str = "") -> EAModel:
             raise ModelFormatError(
                 f"not valid UTF-8 at byte offset {exc.start}"
             ) from None
-    local: dict[str, str] = {}  # tag -> local name
+    parser = ParserCreate(None, "}")
+    local: dict[str, str] = {}  # tag -> local name; the root's comes first
     kinds: dict[str, str] = {}  # relationship type token -> kind
-    # record tag -> closed node -> its record and warnings, or the error it raises
-    pending: dict[str, dict] = {"element": {}, "relationship": {}}
-    blocks: list[tuple[str, list]] = []  # (record tag, kept records), pre-order
-    # closed node -> index of the first block kept inside it, which is where
-    # the block of a container around it goes
-    starts: dict[ET.Element, int] = {}
+    # (record tag, entries), one per container from its start tag, so in
+    # pre-order; entries are records, their errors and an element's warnings
+    blocks: list[tuple[str, list]] = []
+    frames: list[tuple] = [_SKIP]
+    external: set[str] = set()  # external entity names, undefined to ElementTree
+
+    def start(tag: str, attrs: dict[str, str]) -> None:
+        name = local.get(tag) or local.setdefault(tag, tag.rpartition("}")[2])
+        role, owner = frames[-1]
+        frames.append(_SKIP)
+        if role is _NAME:  # its first child ends a name's text
+            parser.CharacterDataHandler = None
+        if name in _CONTAINERS:
+            frames[-1] = (_CONTAINERS[name], [])
+            blocks.append(frames[-1])
+        elif name == role == "property":  # of a kept element
+            rec_id, _, _, props, block = owner
+            key = _one_line(attrs.get("key") or attrs.get("name") or "")
+            if key in props:
+                block.append(f"element {rec_id!r} repeats property key {key!r}; "
+                             "the last value is kept")
+            if key:
+                props[key] = _one_line(attrs.get("value") or "")
+        elif name == role:  # a record in its container
+            try:
+                if role == "relationship":
+                    owner.append(_relationship(attrs, kinds))
+                    return
+                rec_id, token = _id_and_token(attrs, "element")
+                concept_name = ELEMENT_TOKENS.get(token)
+                if concept_name is None:
+                    concept_name = normalize_name(token)
+                    owner.append(f"unknown element type token {token!r} on {rec_id!r}")
+                frames[-1] = (_ELEMENT, [rec_id, concept_name, None, {}, owner])
+            except ModelFormatError as exc:
+                owner.append(exc)
+        elif role is _ELEMENT and name == "properties":
+            frames[-1] = ("property", owner)
+        elif role is _ELEMENT and name in ("name", "label") and owner[2] is None:
+            owner[2] = text = []
+            parser.CharacterDataHandler = text.append
+            frames[-1] = (_NAME, owner)
+
+    def end(tag: str) -> None:
+        role, owner = frames.pop()
+        if role is _ELEMENT:
+            rec_id, concept_name, name, attrs, block = owner
+            block.append(EAElement(rec_id, concept_name, name or "", attrs))
+        elif role is _NAME:
+            parser.CharacterDataHandler = None
+            owner[2] = _one_line("".join(owner[2]).strip())
+
+    def undefined(name: str) -> None:  # ElementTree's text, cut at 117 bytes
+        text = f"undefined entity &{name};".encode()[:117].decode(errors="replace")
+        at = f"not well-formed XML at column {parser.CurrentColumnNumber}"
+        raise ModelFormatError(f"{at}: {text}", parser.CurrentLineNumber)
+
+    parser.StartElementHandler, parser.EndElementHandler = start, end
+    parser.SkippedEntityHandler = lambda name, parameter: parameter or undefined(name)
+    parser.EntityDeclHandler = lambda name, parameter, value, *_: (
+        value is None and not parameter and external.add(name))
+    parser.ExternalEntityRefHandler = lambda context, *_: undefined(
+        next(name for name in context.split("\f") if name in external))
     try:
-        for _, node in _end_events(data):
-            tag = node.tag
-            name = local.get(tag) or local.setdefault(tag, tag.rpartition("}")[2])
-            record_tag = _CONTAINERS.get(name)
-            if record_tag is None and name not in pending:
-                continue
-            inside = ()
-            if starts and len(node):
-                inside = [starts.pop(sub) for sub in node.iter() if sub in starts]
-            start = min(inside) if inside else len(blocks)
-            if record_tag:
-                closed = pending[record_tag]
-                kept = [closed.pop(child) for child in node if child in closed]
-                blocks.insert(start, (record_tag, kept))
-                del node[:]
-            else:
-                try:
-                    pending[name][node] = _record(node, name, local, kinds)
-                except ModelFormatError as exc:
-                    pending[name][node] = exc
-                node.clear()
-            if record_tag or inside:
-                starts[node] = start
-    except ET.ParseError as exc:
-        line, column = exc.position
+        for at in range(0, len(data), _SLICE):
+            parser.Parse(data[at : at + _SLICE], False)
+        parser.Parse("", True)
+    except UnicodeEncodeError as exc:  # a lone surrogate in a str
         raise ModelFormatError(
-            f"not well-formed XML at column {column}: {exc.msg.split(':')[0]}", line
+            f"not encodable as UTF-8 at character offset {at + exc.start}"
         ) from None
-    if name != "model":
-        raise ModelFormatError(f"expected a <model> document, got <{name}>")
-    records: dict[str, list] = {"element": [], "relationship": []}
-    for record_tag, kept in blocks:
-        records[record_tag] += kept
-    elements, relationships = records["element"], records["relationship"]
+    except ExpatError as exc:
+        raise ModelFormatError(f"not well-formed XML at column {exc.offset}: "
+                               f"{ErrorString(exc.code)}", exc.lineno) from None
+    root = next(iter(local.values()))
+    if root != "model":
+        raise ModelFormatError(f"expected a <model> document, got <{root}>")
+    elements = [entry for tag, kept in blocks if tag == "element" for entry in kept]
+    relationships = [rel for tag, kept in blocks if tag != "element" for rel in kept]
     for entry in elements + relationships:
         if isinstance(entry, ModelFormatError):
             raise entry
-    return EAModel(
-        "archimate21",
-        [element for element, _ in elements],
-        [relationship for relationship, _ in relationships],
-        source=source,
-        warnings=[warning for _, warnings in elements for warning in warnings],
-    )
+    return EAModel("archimate21", [e for e in elements if type(e) is EAElement],
+                   relationships, source=source,
+                   warnings=[e for e in elements if type(e) is str])

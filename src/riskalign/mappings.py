@@ -373,9 +373,10 @@ def parse_ruleset(text: str) -> Ruleset:
 
     for lineno, fields in records:
         if len(fields) != 6:
-            raise RulesetFormatError(
-                f"rule line needs 6 fields, got {len(fields)}", lineno
-            )
+            problem = f"rule line needs 6 fields, got {len(fields)}"
+            if fields[0] == "RULESET":
+                problem = "duplicate RULESET record"
+            raise RulesetFormatError(problem, lineno)
         source_label, section, target_text, type_text, condition_text, example = fields
         source = normalize_name(source_label)
         if not source:

@@ -59,27 +59,28 @@ def split_escaped(value: str, sep: str) -> list[str]:
 
 def join_record(fields: list[str] | tuple[str, ...]) -> str:
     """One record line; only one with a backslash, pipe or line break in a field is escaped."""
-    return _escaped("|".join(fields), fields)
+    line = "|".join(fields)
+    if "\\" in line or "\n" in line or "\r" in line or line.count("|") != len(fields) - 1:
+        return "|".join([escape_field(f) for f in fields])
+    return line
 
 
 def join_records(rows: Iterable[list[str] | tuple[str, ...]]) -> str:
     """A records document: one joined line per row, each ended by a newline.
-    The document is checked once for a backslash, a "\\r", its line count and
-    its pipe count; only if that fails is each line checked as join_record does."""
+    A document with a backslash or a pipe in a field is escaped in whole-text
+    passes over fields joined by "\\n" and rows by "\\r"; one with a line break
+    in a field, or an empty row, is joined row by row, as join_record does."""
     rows = list(rows)
-    lines = ["|".join(row) for row in rows]
-    text = "\n".join([*lines, ""])
+    text = "\n".join([*map("|".join, rows), ""])
+    seps = sum(map(len, rows)) - len(rows)
     if ("\\" in text or "\r" in text or text.count("\n") != len(rows)
-            or text.count("|") != sum(map(len, rows)) - len(rows)):
-        text = "\n".join([*map(_escaped, lines, rows), ""])
+            or text.count("|") != seps):
+        text = "\r".join(map("\n".join, rows))
+        if text.count("\r") != len(rows) - 1 or text.count("\n") != seps:
+            return "\n".join([*map(join_record, rows), ""])
+        text = text.replace("\\", "\\\\").replace("|", "\\|")
+        text = text.replace("\n", "|").replace("\r", "\n") + "\n"
     return text
-
-
-def _escaped(line: str, fields: list[str] | tuple[str, ...]) -> str:
-    """The joined line of fields, escaped field by field if one needs it."""
-    if "\\" in line or "\n" in line or "\r" in line or line.count("|") != len(fields) - 1:
-        return "|".join([escape_field(f) for f in fields])
-    return line
 
 
 def split_list(text: str) -> tuple[str, ...]:

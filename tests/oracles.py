@@ -40,7 +40,7 @@ import xml.etree.ElementTree as ET
 from collections import defaultdict
 
 from riskalign.analysis import TraceNode, impact_propagation, trace
-from riskalign.archimate_xml import _XSI_TYPE, ELEMENT_TOKENS
+from riskalign.archimate_xml import ELEMENT_TOKENS
 from riskalign import cli, recordio
 from riskalign.classify import (
     ClassificationFact,
@@ -678,6 +678,9 @@ def check_against_scans(ruleset, model, rng, lookups=None, max_risks=3):
             reference_register, case.id, kinds
         )
     return register
+
+
+_XSI_TYPE = "{http://www.w3.org/2001/XMLSchema-instance}type"  # ElementTree's form
 
 
 def _local(tag: object) -> str:

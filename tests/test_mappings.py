@@ -372,10 +372,22 @@ def test_parse_ruleset_empty_text():
         assert exc.value.line is None
 
 
-def test_parse_ruleset_second_header_is_a_short_rule_line():
+def test_parse_ruleset_names_a_second_header_as_a_duplicate():
     with pytest.raises(RulesetFormatError) as exc:
         parse_ruleset("RULESET|iaf|x\nrole|Business|Asset|||\nRULESET|iaf|y\n")
-    assert str(exc.value) == "line 3: rule line needs 6 fields, got 3"
+    assert str(exc.value) == "line 3: duplicate RULESET record"
+    assert exc.value.line == 3
+    # a RULESET record of any other length is a duplicate too; a 6-field line
+    # whose source is "RULESET" is a rule
+    for extra in ("RULESET\n", "RULESET|iaf\n", "RULESET|a|b|c|d|e|f\n"):
+        with pytest.raises(RulesetFormatError) as exc:
+            parse_ruleset("RULESET|iaf|x\n" + extra)
+        assert str(exc.value) == "line 2: duplicate RULESET record"
+    ruleset = parse_ruleset("RULESET|iaf|x\nRULESET|Business|Asset|||\n")
+    assert [rule.source for rule in ruleset.rules] == ["ruleset"]
+    with pytest.raises(RulesetFormatError) as exc:
+        parse_ruleset("RULESET|iaf|x\nrole|Business|Asset\n")
+    assert str(exc.value) == "line 2: rule line needs 6 fields, got 3"
 
 
 def test_parse_ruleset_rejects_a_condition_key_with_whitespace():

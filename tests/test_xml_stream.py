@@ -7,7 +7,8 @@ each kind with some nested inside another container or inside a record
 node, label or name (or both, or neither), properties with empty keys,
 "|", "\\" and line breaks in text. The streaming importer must give the
 same model, element order, warnings, and error (type, message and line) as
-oracles.import_archimate_tree, including on documents with several defects.
+oracles.import_archimate_tree, including on documents with several defects
+and on documents whose DTD leaves entity references to the parser's handlers.
 """
 
 from __future__ import annotations
@@ -261,6 +262,79 @@ def test_nested_containers_keep_the_tree_walk_order():
         "unknown element type token 'Gadget' on 'c'",
     )
     assert outcome(import_archimate, text) == outcome(oracles.import_archimate_tree, text)
+
+
+def test_a_name_is_its_text_before_its_first_child():
+    text = (
+        HEAD + '<elements><element identifier="a" type="Device">'
+        "<name>Box<![CDATA[ & ]]>Co<!-- a comment -->. <i>ignored</i> tail</name>"
+        '<label>not read</label></element><element identifier="b" type="Node">'
+        '<label>Rack <elements><element identifier="c" type="Device">'
+        "<name> Inner </name></element></elements>after</label></element>"
+        "</elements></model>"
+    )
+    model = import_archimate(text)
+    assert [(e.id, e.name) for e in model.elements.values()] == [
+        ("a", "Box & Co."), ("b", "Rack"), ("c", "Inner")
+    ]
+    assert outcome(import_archimate, text) == outcome(oracles.import_archimate_tree, text)
+
+
+EXTERNAL_DTD = '<!DOCTYPE model SYSTEM "model.dtd">\n'
+PARAMETER_ENTITY = '<!DOCTYPE model [\n<!ENTITY % pe "">\n%pe;\n]>\n'
+LONG_NAME = "\u00e9" * 60  # 120 bytes in UTF-8, so the error text is cut
+# (doctype, where the entity reference goes, the reference, an error or not).
+# Where the parser cannot read all of a document's DTD, it leaves a reference
+# to an entity it does not know, or to an external one, to its handlers, and
+# ElementTree reports it as undefined; in an attribute value it is dropped.
+DTD_CASES = {
+    "external DTD, in a name": (EXTERNAL_DTD, "name", "&undef;", True),
+    "external DTD, in an attribute value": (
+        EXTERNAL_DTD, "attribute", "&undef;", False),
+    "external DTD, outside any record": (EXTERNAL_DTD, "outside", "&undef;", True),
+    "parameter entity, in a name": (PARAMETER_ENTITY, "name", "&undef;", True),
+    "parameter entity, in an attribute value": (
+        PARAMETER_ENTITY, "attribute", "&undef;", False),
+    "parameter entity, outside any record": (
+        PARAMETER_ENTITY, "outside", "&undef;", True),
+    "undefined parameter entity, in a name": (
+        "<!DOCTYPE model [ %pe; ]>\n", "name", "&undef;", True),
+    "external DTD, a long name": (EXTERNAL_DTD, "name", f"&{LONG_NAME};", True),
+    "standalone, external DTD": (  # the parser's own undefined entity error
+        '<?xml version="1.0" standalone="yes"?>' + EXTERNAL_DTD, "name", "&undef;",
+        True),
+    "a declared external entity": (
+        '<!DOCTYPE model [<!ENTITY ext SYSTEM "ext.xml">]>\n', "name", "&ext;", True),
+    "an external entity inside an internal one": (
+        '<!DOCTYPE model [<!ENTITY ext SYSTEM "ext.xml">\n<!ENTITY a "x&ext;">'
+        '<!ENTITY b "&a;y">]>\n', "name", "&b;", True),
+    "an internal entity, expanded": (
+        '<!DOCTYPE model SYSTEM "model.dtd" [<!ENTITY co "&amp;Co">]>\n', "name",
+        "&co;", False),
+}
+
+
+def dtd_document(doctype: str, where: str, entity: str) -> str:
+    name = f"Box {entity}" if where == "name" else "Box"
+    value = f"a{entity}b" if where == "attribute" else "ab"
+    outside = entity if where == "outside" else ""
+    return (
+        doctype + HEAD + "<elements>\n"
+        f'<element identifier="a" type="Device"><name>{name}</name><properties>'
+        f'<property key="k" value="{value}"/></properties></element>\n'
+        f"</elements>{outside}</model>"
+    )
+
+
+@pytest.mark.parametrize("case", sorted(DTD_CASES))
+def test_dtd_documents_report_what_the_tree_walk_reports(case):
+    doctype, where, entity, error = DTD_CASES[case]
+    text = dtd_document(doctype, where, entity)
+    got = outcome(import_archimate, text)
+    assert got == outcome(oracles.import_archimate_tree, text)
+    assert (got[0] is ModelFormatError) is error, got
+    if where == "name" and not error:
+        assert got[0].element("a").name == "Box &Co"
 
 
 def _peak(importer, text: str) -> int:
