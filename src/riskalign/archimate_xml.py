@@ -9,6 +9,8 @@ surface later as unknown-concept classifications.
 
 Expat handlers read the text in one pass without a node tree: a record is
 built from its start tag, an element's name and properties from its children.
+A record with one-line ids and a known type skips the checks; every other
+record goes through _id_and_token and _relationship, which decide each error.
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ def _id_and_token(attrs: dict[str, str], record_tag: str) -> tuple[str, str]:
 
 
 def _relationship(attrs: dict[str, str], kinds: dict[str, str]) -> EARelationship:
-    """A relationship from its start tag's attributes; kinds caches each token's."""
+    """A relationship from its start tag's attributes; kinds caches the kind of
+    each raw type value that has built a record."""
     rec_id, token = _id_and_token(attrs, "relationship")
     src, dst = attrs.get("source") or "", attrs.get("target") or ""
     if not (src and dst) or "\n" in src + dst or "\r" in src + dst:
@@ -106,8 +109,9 @@ def _relationship(attrs: dict[str, str], kinds: dict[str, str]) -> EARelationshi
                 raise ModelFormatError(f"{end} {value!r} contains a line break")
         end = "target" if src else "source"
         raise ModelFormatError(f"relationship {rec_id!r} has no {end}")
-    kind = kinds.get(token) or kinds.setdefault(
-        token, normalize_name(_CAMEL.sub(" ", token.removesuffix("Relationship"))))
+    raw = attrs.get(_XSI_TYPE) or attrs.get("type")
+    kind = kinds.get(raw) or kinds.setdefault(
+        raw, normalize_name(_CAMEL.sub(" ", token.removesuffix("Relationship"))))
     return tuple.__new__(EARelationship, (rec_id, kind, src, dst))
 
 
@@ -128,7 +132,7 @@ def import_archimate(data: str | bytes, source: str = "") -> EAModel:
             ) from None
     parser = ParserCreate(None, "}")
     local: dict[str, str] = {}  # tag -> local name; the root's comes first
-    kinds: dict[str, str] = {}  # relationship type token -> kind
+    kinds: dict[str, str] = {}  # relationship raw type value -> kind
     # (record tag, entries), one per container from its start tag, so in
     # pre-order; entries are records, their errors and an element's warnings
     blocks: list[tuple[str, list]] = []
@@ -153,15 +157,26 @@ def import_archimate(data: str | bytes, source: str = "") -> EAModel:
             if key:
                 props[key] = _one_line(attrs.get("value") or "")
         elif name == role:  # a record in its container
-            try:
+            try:  # one-line ids and a known type skip the checks
                 if role == "relationship":
-                    owner.append(_relationship(attrs, kinds))
+                    rec_id, src = attrs.get("identifier"), attrs.get("source")
+                    dst, kind = attrs.get("target"), kinds.get(attrs.get(_XSI_TYPE))
+                    if (kind and rec_id and src and dst and "\n" not in (
+                            ids := rec_id + src + dst) and "\r" not in ids):
+                        record = rec_id, kind, src, dst
+                        owner.append(tuple.__new__(EARelationship, record))
+                    else:
+                        owner.append(_relationship(attrs, kinds))
                     return
-                rec_id, token = _id_and_token(attrs, "element")
-                concept_name = ELEMENT_TOKENS.get(token)
-                if concept_name is None:
-                    concept_name = normalize_name(token)
-                    owner.append(f"unknown element type token {token!r} on {rec_id!r}")
+                rec_id = attrs.get("identifier")
+                concept_name = ELEMENT_TOKENS.get(attrs.get(_XSI_TYPE))
+                if not (rec_id and concept_name) or "\n" in rec_id or "\r" in rec_id:
+                    rec_id, token = _id_and_token(attrs, "element")
+                    concept_name = ELEMENT_TOKENS.get(token)
+                    if concept_name is None:
+                        concept_name = normalize_name(token)
+                        owner.append(f"unknown element type token {token!r} "
+                                     f"on {rec_id!r}")
                 frames[-1] = (_ELEMENT, [rec_id, concept_name, None, {}, owner])
             except ModelFormatError as exc:
                 owner.append(exc)
@@ -176,7 +191,8 @@ def import_archimate(data: str | bytes, source: str = "") -> EAModel:
         role, owner = frames.pop()
         if role is _ELEMENT:
             rec_id, concept_name, name, attrs, block = owner
-            block.append(EAElement(rec_id, concept_name, name or "", attrs))
+            record = rec_id, concept_name, name or "", attrs
+            block.append(tuple.__new__(EAElement, record))
         elif role is _NAME:
             parser.CharacterDataHandler = None
             owner[2] = _one_line("".join(owner[2]).strip())

@@ -180,6 +180,17 @@ FAULTS = [
     Fault("no entity is noted as external", "src/riskalign/archimate_xml.py",
           "value is None and not parameter and external.add(name))", "False)",
           ("tests/test_xml_stream.py",)),
+    # one row per straight path for a well-formed record
+    Fault("the relationship straight path lets a carriage return through",
+          "src/riskalign/archimate_xml.py",
+          'ids := rec_id + src + dst) and "\\r" not in ids):',
+          "ids := rec_id + src + dst)):",
+          ("tests/test_archimate_xml.py", "tests/test_xml_stream.py")),
+    Fault("the element straight path keeps an empty identifier",
+          "src/riskalign/archimate_xml.py",
+          'if not (rec_id and concept_name) or "\\n" in rec_id',
+          'if rec_id is None or not concept_name or "\\n" in rec_id',
+          ("tests/test_archimate_xml.py", "tests/test_xml_stream.py")),
     # riskgraph.check_edge reads each kind's endpoint rule
     Fault("check_edge reads its source and target kinds swapped",
           "src/riskalign/riskgraph.py",

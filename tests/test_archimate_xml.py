@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from riskalign.archimate_xml import _SLICE, ELEMENT_TOKENS, import_archimate
+from riskalign.archimate_xml import (
+    _SLICE, _XSI_TYPE, ELEMENT_TOKENS, _relationship, import_archimate,
+)
 from riskalign.builtin_tables import builtin_ruleset
 from riskalign.classify import classify_model
 from riskalign.eamodel import export_tabular, parse_tabular
@@ -158,6 +160,84 @@ def test_relationship_without_an_endpoint_rejected(end, missing):
     text = MINIMAL.replace(value, "" if missing == "absent" else f'{end}=""')
     with pytest.raises(ModelFormatError, match=f"^relationship 'r1' has no {end}$"):
         import_archimate(text)
+
+
+def relationships_doc(*relationships: str) -> str:
+    """MINIMAL with these relationship start tags in place of its one."""
+    old = MINIMAL[MINIMAL.index("<relationship ") : MINIMAL.index("\n  </relationships>")]
+    return MINIMAL.replace(old, "".join(relationships))
+
+
+FLOW = '<relationship identifier="{}" xsi:type="Flow" source="a" target="b"/>'
+
+
+@pytest.mark.parametrize("attribute", ["identifier", "source", "target"])
+@pytest.mark.parametrize("line_break", ["&#10;", "&#13;"])
+def test_a_line_break_is_rejected_after_its_type_is_known(attribute, line_break):
+    # the first Flow relationship makes the type known; the second still has
+    # every id checked for a line break
+    second = FLOW.format("r2").replace(f'{attribute}="', f'{attribute}="x{line_break}')
+    value = {"identifier": "r2", "source": "a", "target": "b"}[attribute]
+    shown = repr("x" + {"&#10;": "\n", "&#13;": "\r"}[line_break] + value)
+    with pytest.raises(ModelFormatError) as exc:
+        import_archimate(relationships_doc(FLOW.format("r1"), second))
+    assert str(exc.value) == f"{attribute} {shown} contains a line break"
+
+
+@pytest.mark.parametrize("end", ["source", "target"])
+def test_a_relationship_without_an_endpoint_is_rejected_after_its_type_is_known(end):
+    value = {"source": 'source="a"', "target": 'target="b"'}[end]
+    second = FLOW.format("r2").replace(value, f'{end}=""')
+    with pytest.raises(ModelFormatError, match=f"^relationship 'r2' has no {end}$"):
+        import_archimate(relationships_doc(FLOW.format("r1"), second))
+
+
+def test_an_empty_identifier_falls_back_to_id_after_the_type_is_known():
+    second = FLOW.format("").replace('identifier=""', 'identifier="" id="r2"')
+    m = import_archimate(relationships_doc(FLOW.format("r1"), second))
+    assert [rel.id for rel in m.relationships] == ["r1", "r2"]
+
+
+def test_a_rejected_relationship_leaves_its_type_uncached():
+    no_source = FLOW.format("r1").replace('source="a" ', "")
+    bad_target = FLOW.format("r3").replace('target="b"', 'target="b&#13;"')
+    with pytest.raises(ModelFormatError, match="^relationship 'r1' has no source$"):
+        import_archimate(relationships_doc(no_source, FLOW.format("r2"), bad_target))
+    with pytest.raises(ModelFormatError, match=r"^target 'b\\r' contains a line break$"):
+        import_archimate(relationships_doc(FLOW.format("r2"), bad_target, no_source))
+    kinds: dict[str, str] = {}
+    attrs = {"identifier": "r1", _XSI_TYPE: "Flow", "target": "b"}
+    with pytest.raises(ModelFormatError):
+        _relationship(attrs, kinds)
+    assert kinds == {}
+    assert _relationship({**attrs, "source": "a"}, kinds) == ("r1", "flow", "a", "b")
+    assert kinds == {"Flow": "flow"}
+
+
+def test_every_spelling_of_a_type_gives_its_kind():
+    spellings = ["Flow", "archimate:Flow", " Flow ", "FlowRelationship"] * 2
+    m = import_archimate(relationships_doc(*(
+        FLOW.format(f"r{i}").replace('"Flow"', f'"{spelling}"')
+        for i, spelling in enumerate(spellings)
+    )))
+    assert [rel.kind for rel in m.relationships] == ["flow"] * len(spellings)
+
+
+def test_an_element_with_an_empty_identifier_falls_back_to_id():
+    text = MINIMAL.replace('identifier="a"', 'identifier="" id="x"').replace(
+        'source="a"', 'source="x"')
+    m = import_archimate(text)
+    assert list(m.elements) == ["x", "b"]
+    assert m.element("x").concept_name == "device"
+
+
+@pytest.mark.parametrize("line_break", ["&#10;", "&#13;"])
+def test_an_element_identifier_with_a_line_break_is_rejected(line_break):
+    text = MINIMAL.replace('identifier="a"', f'identifier="a{line_break}"')
+    shown = repr("a" + {"&#10;": "\n", "&#13;": "\r"}[line_break])
+    with pytest.raises(ModelFormatError) as exc:
+        import_archimate(text)
+    assert str(exc.value) == f"identifier {shown} contains a line break"
 
 
 def test_bytes_that_are_not_utf8_rejected_with_the_offset():
