@@ -10,7 +10,7 @@ The names below are imported from their home module on first access, so
 subcommand runs.
 """
 
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -80,13 +80,19 @@ _EXPORTS = {name: module for module, names in _HOMES.items() for name in names}
 __all__ = list(_EXPORTS)
 
 
+def _submodule(name: str):
+    """Import a submodule by its short name without the importlib package,
+    which loads warnings."""
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
 def __getattr__(name: str):
     if name in _EXPORTS:
-        module = importlib.import_module(f".{_EXPORTS[name]}", __name__)
-        value = globals()[name] = getattr(module, name)
+        value = globals()[name] = getattr(_submodule(_EXPORTS[name]), name)
         return value
     if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
+        return _submodule(name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -8,8 +8,8 @@ condenses a register into counts and ratios.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from typing import TYPE_CHECKING, NamedTuple
 
 from .classify import ClassificationSet
 from .concepts import ISSRMConcept
@@ -17,6 +17,7 @@ from .errors import PropagationSeedError
 from .eamodel import normalize_name
 from . import recordio
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .register import CriterionSpec, RiskRegister
 
@@ -120,13 +121,12 @@ def _propagate(
 # --- risk trace --------------------------------------------------------------------
 
 
-class TraceNode(NamedTuple):
-    kind: str
-    ref: str  # element/record id, or "" for synthetic nodes
-    label: str
-    children: tuple["TraceNode", ...] = ()
-    flags: tuple[str, ...] = ()
-    path: tuple[str, ...] = ()  # propagation witness for business assets
+# kind: str; ref: str, the element/record id, or "" for synthetic nodes;
+# label: str; children: tuple[TraceNode, ...] = (); flags: tuple[str, ...] =
+# (); path: tuple[str, ...] = (), the propagation witness for business assets
+TraceNode = namedtuple(
+    "TraceNode", "kind ref label children flags path", defaults=((), (), ())
+)
 
 
 def trace(
@@ -220,15 +220,13 @@ def trace(
 # --- coverage ---------------------------------------------------------------------
 
 
-class CoverageReport(NamedTuple):
-    is_asset_count: int
-    is_assets_with_vulnerability: int
-    risks_total: int
-    risks_with_treatment: int
-    requirements_total: int
-    requirements_with_control: int
-    unmapped_count: int
-    unknown_count: int
+class CoverageReport(namedtuple("CoverageReport", (
+    "is_asset_count is_assets_with_vulnerability risks_total risks_with_treatment"
+    " requirements_total requirements_with_control unmapped_count unknown_count"
+))):
+    """Counts of one register, every field an int."""
+
+    __slots__ = ()
 
     @property
     def vulnerability_ratio(self) -> float:

@@ -15,7 +15,6 @@ record goes through _id_and_token and _relationship, which decide each error.
 
 from __future__ import annotations
 
-import re
 from pyexpat import ErrorString, ExpatError, ParserCreate
 
 from .eamodel import EAElement, EAModel, EARelationship, normalize_name
@@ -69,7 +68,9 @@ ELEMENT_TOKENS: dict[str, str] = {
 }
 
 
-_CAMEL = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
+# ASCII only, as the camel-case pattern (?<=[a-z0-9])(?=[A-Z]) is
+_CAPITALS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_LOWER_OR_DIGIT = "abcdefghijklmnopqrstuvwxyz0123456789"
 
 # One (role, owner) frame per open node. A container's role is its record tag
 # and a kept element's properties have the role "property": a child with that
@@ -98,6 +99,13 @@ def _id_and_token(attrs: dict[str, str], record_tag: str) -> tuple[str, str]:
     return rec_id, token
 
 
+def _camel_words(token: str) -> str:
+    """token with a blank before each capital that follows a lowercase letter
+    or a digit, as substituting " " for the camel-case pattern gives."""
+    return "".join(" " + char if char in _CAPITALS and before in _LOWER_OR_DIGIT
+                   else char for before, char in zip(" " + token, token))
+
+
 def _relationship(attrs: dict[str, str], kinds: dict[str, str]) -> EARelationship:
     """A relationship from its start tag's attributes; kinds caches the kind of
     each raw type value that has built a record."""
@@ -111,7 +119,7 @@ def _relationship(attrs: dict[str, str], kinds: dict[str, str]) -> EARelationshi
         raise ModelFormatError(f"relationship {rec_id!r} has no {end}")
     raw = attrs.get(_XSI_TYPE) or attrs.get("type")
     kind = kinds.get(raw) or kinds.setdefault(
-        raw, normalize_name(_CAMEL.sub(" ", token.removesuffix("Relationship"))))
+        raw, normalize_name(_camel_words(token.removesuffix("Relationship"))))
     return tuple.__new__(EARelationship, (rec_id, kind, src, dst))
 
 

@@ -11,11 +11,10 @@ subtype, or reject candidates.
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from collections.abc import Mapping
 from functools import cache, cached_property, partial
 from operator import itemgetter
-from typing import NamedTuple
 
 from .concepts import ISSRMConcept, parse_concept
 from .eamodel import EAElement, EAModel
@@ -74,14 +73,15 @@ def tier_of(mapping_type: MappingType, target: TargetSpec) -> Tier:
     return Tier.RELATED
 
 
-class ClassificationFact(NamedTuple):
-    element_id: str
-    target: TargetSpec
-    mapping_type: MappingType
-    tier: Tier
-    framework: str
-    row: int
-    confirmed: bool = False
+class ClassificationFact(namedtuple(
+    "ClassificationFact",
+    "element_id target mapping_type tier framework row confirmed",
+    defaults=(False,),
+)):
+    """element_id: str; target: TargetSpec; mapping_type: MappingType;
+    tier: Tier; framework: str; row: int; confirmed: bool = False"""
+
+    __slots__ = ()
 
     @property
     def provenance(self) -> str:
@@ -234,17 +234,20 @@ def classify_model(ruleset: Ruleset, model: EAModel) -> ClassificationSet:
     return ClassificationSet(model, ruleset)
 
 
-class _Step(NamedTuple):
-    """One target-naming rule of a concept, resolved for classification."""
+class _Step(namedtuple("_Step", "condition fact warning")):
+    """One target-naming rule of a concept, resolved for classification.
 
-    condition: AttributeEquals | None
-    fact: tuple[TargetSpec, MappingType, Tier, str, int, bool]  # fields after the id
-    warning: str  # the warning text after "<element id>: ", or ""
+    condition: AttributeEquals | None;
+    fact: tuple[TargetSpec, MappingType, Tier, str, int, bool], the fields
+    after the id; warning: str, the warning text after "<element id>: ", or ""
+    """
+
+    __slots__ = ()
 
 
-class _ConceptPlan(NamedTuple):
-    steps: tuple[_Step, ...]
-    conditional: bool  # some step has a condition to evaluate per element
+# steps: tuple[_Step, ...]; conditional: bool, some step has a condition to
+# evaluate per element
+_ConceptPlan = namedtuple("_ConceptPlan", "steps conditional")
 
 
 def _concept_plan(ruleset: Ruleset, concept_name: str) -> _ConceptPlan | None:
@@ -293,15 +296,10 @@ def _steps(plan: _ConceptPlan, element: EAElement) -> tuple[_Step, ...]:
 # --- review overlays -----------------------------------------------------------
 
 
-class ReviewEntry(NamedTuple):
-    element_id: str
-    concept: ISSRMConcept
-    verdict: str  # "confirm" or "reject"
-    note: str = ""
-
-
-class ReviewOverlay(NamedTuple):
-    entries: tuple[ReviewEntry, ...]
+# element_id: str; concept: ISSRMConcept; verdict: str, "confirm" or
+# "reject"; note: str = ""
+ReviewEntry = namedtuple("ReviewEntry", "element_id concept verdict note", defaults=("",))
+ReviewOverlay = namedtuple("ReviewOverlay", "entries")  # entries: tuple[ReviewEntry, ...]
 
 
 def parse_overlay(text: str) -> ReviewOverlay:
@@ -393,11 +391,8 @@ def apply_review(
 # --- reports ---------------------------------------------------------------------
 
 
-class UnmappedEntry(NamedTuple):
-    element_id: str
-    name: str
-    concept_name: str
-    reason: str
+# element_id, name, concept_name, reason: str
+UnmappedEntry = namedtuple("UnmappedEntry", "element_id name concept_name reason")
 
 
 def unmapped_report(classification: ClassificationSet) -> list[UnmappedEntry]:

@@ -24,7 +24,6 @@ import sys
 import time
 from collections.abc import Callable
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, NoReturn
 
 from .eamodel import (
     FRAMEWORKS,
@@ -39,7 +38,10 @@ from .eamodel import (
 from .errors import InputError
 from . import recordio
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import NoReturn
+
     from .classify import ClassificationSet
     from .mappings import Ruleset
     from .register import RiskRegister

@@ -9,7 +9,7 @@ concepts") but it is never a legal entity kind in a risk graph.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
+from collections import namedtuple
 
 
 class ISSRMConcept(enum.Enum):
@@ -36,9 +36,8 @@ class ISSRMConcept(enum.Enum):
         return self.value
 
 
-class CatalogEntry(NamedTuple):
-    concept: ISSRMConcept
-    category: str
+# concept: ISSRMConcept; category: str, one of the four below
+CatalogEntry = namedtuple("CatalogEntry", "concept category")
 
 
 ASSET_RELATED = "asset-related"

@@ -16,8 +16,8 @@ export of a model yields an equal model.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .errors import (
     DuplicateIdError,
@@ -46,11 +46,9 @@ def normalize_name(name: str) -> str:
     return " ".join(name.split()).lower()
 
 
-class _ElementFields(NamedTuple):
-    id: str
-    concept_name: str  # normalized framework concept, e.g. "business process"
-    name: str
-    attributes: dict[str, str]
+# id: str; concept_name: str, the normalized framework concept, e.g.
+# "business process"; name: str; attributes: dict[str, str]
+_ElementFields = namedtuple("_ElementFields", "id concept_name name attributes")
 
 
 class EAElement(_ElementFields):
@@ -65,11 +63,9 @@ class EAElement(_ElementFields):
         return super().__new__(cls, id, concept_name, name, attributes)
 
 
-class EARelationship(NamedTuple):
-    id: str
-    kind: str  # normalized framework relationship name, e.g. "assignment"
-    source: str
-    target: str
+# id, source, target: str; kind: str, the normalized framework relationship
+# name, e.g. "assignment"
+EARelationship = namedtuple("EARelationship", "id kind source target")
 
 
 class EAModel:

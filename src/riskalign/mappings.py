@@ -20,8 +20,7 @@ non-standard type. Condition is blank or <key>=<value>.
 from __future__ import annotations
 
 import enum
-import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from .concepts import ISSRMConcept, parse_concept
 from .eamodel import check_framework, normalize_name
@@ -43,16 +42,16 @@ class MappingKind(enum.Enum):
 _STANDARD_KINDS = set(MappingKind) - {MappingKind.UNSPECIFIED, MappingKind.NON_STANDARD}
 
 
-class MappingType(NamedTuple):
+class MappingType(namedtuple("MappingType", "kind text", defaults=("",))):
     """A semantic mapping relation, read "source is a <kind> of target".
 
-    Non-standard table tokens are carried verbatim in text; unspecified
-    stands for a blank (or N/A) type cell. Both always warrant a
-    transcription warning.
+    kind is a MappingKind; text (str, default "") is set only for a
+    non-standard type. Non-standard table tokens are carried verbatim in
+    text; unspecified stands for a blank (or N/A) type cell. Both always
+    warrant a transcription warning.
     """
 
-    kind: MappingKind
-    text: str = ""
+    __slots__ = ()
 
     @property
     def is_standard(self) -> bool:
@@ -95,19 +94,20 @@ def parse_mapping_type(token: str) -> MappingType:
 # --- target specifications ---------------------------------------------------
 
 
-class ConceptTarget(NamedTuple):
-    concept: ISSRMConcept
+ConceptTarget = namedtuple("ConceptTarget", "concept")  # concept: ISSRMConcept
 
 
-class AttributeTarget(NamedTuple):
-    """An attribute of a concept; attribute "*" means the cell named none."""
+class AttributeTarget(namedtuple("AttributeTarget", "concept attribute")):
+    """An attribute of a concept; attribute "*" means the cell named none.
 
-    concept: ISSRMConcept
-    attribute: str
+    concept is an ISSRMConcept, attribute a str.
+    """
+
+    __slots__ = ()
 
 
-class CompositeTarget(NamedTuple):
-    concepts: tuple[ISSRMConcept, ...]
+# concepts: tuple[ISSRMConcept, ...]
+CompositeTarget = namedtuple("CompositeTarget", "concepts")
 
 
 class AnnotationTarget:
@@ -129,8 +129,7 @@ class AnnotationTarget:
         return "AnnotationTarget()"
 
 
-class NoTarget(NamedTuple):
-    reason: str = ""
+NoTarget = namedtuple("NoTarget", "reason", defaults=("",))  # reason: str
 
 
 TargetSpec = ConceptTarget | AttributeTarget | CompositeTarget | AnnotationTarget | NoTarget
@@ -192,15 +191,14 @@ def serialize_target(target: TargetSpec) -> str:
 # --- conditions ---------------------------------------------------------------
 
 
-class AttributeEquals(NamedTuple):
-    """Predicate over element attributes.
+class AttributeEquals(namedtuple("AttributeEquals", "key value")):
+    """Predicate over element attributes: key and value are str.
 
     Values "true"/"false" are boolean-valued: a missing attribute counts as
     "false", and any value other than "true" is false.
     """
 
-    key: str
-    value: str
+    __slots__ = ()
 
     def evaluate(self, attributes: dict[str, str]) -> bool:
         if self.value == "true":
@@ -229,15 +227,15 @@ def parse_condition(text: str) -> AttributeEquals | None:
 # --- rules and rulesets --------------------------------------------------------
 
 
-class AlignmentRule(NamedTuple):
-    framework: str
-    row: int  # 1-based table row; multi-rule rows share the index
-    section: str
-    source: str  # normalized source concept label, verbatim otherwise
-    target: TargetSpec
-    mapping_type: MappingType
-    condition: AttributeEquals | None = None
-    example: str = ""
+# framework: str; row: int, the 1-based table row (multi-rule rows share the
+# index); section: str; source: str, the normalized source concept label,
+# verbatim otherwise; target: TargetSpec; mapping_type: MappingType;
+# condition: AttributeEquals | None = None; example: str = ""
+AlignmentRule = namedtuple(
+    "AlignmentRule",
+    "framework row section source target mapping_type condition example",
+    defaults=(None, ""),
+)
 
 
 def transcription_warning(rule: AlignmentRule) -> str:
@@ -276,16 +274,37 @@ def source_synonyms(source: str) -> tuple[str, ...]:
     return tuple(names)
 
 
-_ATTACHED = re.compile(r"(\w+)\((\w+)\)")
-_FREESTANDING = re.compile(r"\s*\([^()]*\)")
+def _is_word(text: str) -> bool:
+    """Whether text is one or more of the regex word characters (Unicode \\w):
+    those for which str.isalnum holds, and "_"."""
+    return text.replace("_", "a").isalnum()
 
 
 def _parenthetical_variants(name: str) -> list[str]:
+    # str-method forms of the substitutions r"(\w+)\((\w+)\)" -> r"\1" and
+    # r"\1\2" (made only where it matches) and r"\s*\([^()]*\)" -> " ". A "("
+    # is attached when a word character precedes it and word characters then
+    # ")" follow it; it opens a free-standing parenthetical when the next
+    # parenthesis after it is ")". normalize_name takes up the blanks before
+    # a free-standing one, which the pattern also removed.
     variants = [name]
-    if _ATTACHED.search(name):
-        variants.append(normalize_name(_ATTACHED.sub(r"\1", name)))
-        variants.append(normalize_name(_ATTACHED.sub(r"\1\2", name)))
-    variants.append(normalize_name(_FREESTANDING.sub(" ", name)))
+    first, *pieces = name.split("(")
+    dropped = joined = optional = first
+    attached = False
+    for before, piece in zip([first, *pieces], pieces):
+        inner, close, rest = piece.partition(")")
+        if close and _is_word(before[-1:]) and _is_word(inner):
+            attached = True
+            dropped += rest
+            joined += inner + rest
+        else:
+            dropped += "(" + piece
+            joined += "(" + piece
+        optional += " " + rest if close else "(" + piece
+    if attached:
+        variants.append(normalize_name(dropped))
+        variants.append(normalize_name(joined))
+    variants.append(normalize_name(optional))
     return variants
 
 

@@ -28,8 +28,8 @@ which names the entities induced_graph derives from a risk.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping
-from typing import TYPE_CHECKING, NamedTuple, TypeVar
 
 from .classify import ClassificationSet, Tier
 from .concepts import ASSET_KINDS, ISSRMConcept
@@ -38,50 +38,28 @@ from .errors import CatalogFormatError, UnknownRiskError
 from .mappings import target_concepts
 from . import recordio
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # riskgraph loads only where a graph is built or validated
+    from typing import TypeVar
+
     from .riskgraph import RiskGraph, Violation
 
-_Record = TypeVar("_Record")
+    _Record = TypeVar("_Record")
 
-
-class ThreatSpec(NamedTuple):
-    agent: str  # display name; empty when the catalog says "-"
-    method: str
-    targets: tuple[str, ...]  # model element ids
-
-
-class VulnerabilitySpec(NamedTuple):
-    text: str
-    elements: tuple[str, ...]
-
-
-class ImpactSpec(NamedTuple):
-    text: str
-    harmed: tuple[str, ...]
-    negated: tuple[str, ...]  # criterion ids
-
-
-class ControlSpec(NamedTuple):
-    id: str
-    text: str
-
-
-class RequirementSpec(NamedTuple):
-    id: str
-    text: str
-    controls: tuple[ControlSpec, ...] = ()
-
-
-class TreatmentSpec(NamedTuple):
-    id: str
-    text: str
-    requirements: tuple[RequirementSpec, ...] = ()
-
-
-class CriterionSpec(NamedTuple):
-    id: str
-    name: str
-    constrains: tuple[str, ...]  # model element ids
+# agent: str, the display name, empty when the catalog says "-"; method: str;
+# targets: tuple[str, ...], model element ids
+ThreatSpec = namedtuple("ThreatSpec", "agent method targets")
+# text: str; elements: tuple[str, ...]
+VulnerabilitySpec = namedtuple("VulnerabilitySpec", "text elements")
+# text: str; harmed: tuple[str, ...]; negated: tuple[str, ...], criterion ids
+ImpactSpec = namedtuple("ImpactSpec", "text harmed negated")
+ControlSpec = namedtuple("ControlSpec", "id text")  # id, text: str
+# id, text: str; controls: tuple[ControlSpec, ...] = ()
+RequirementSpec = namedtuple("RequirementSpec", "id text controls", defaults=((),))
+# id, text: str; requirements: tuple[RequirementSpec, ...] = ()
+TreatmentSpec = namedtuple("TreatmentSpec", "id text requirements", defaults=((),))
+# id, name: str; constrains: tuple[str, ...], model element ids
+CriterionSpec = namedtuple("CriterionSpec", "id name constrains")
 
 
 class RiskCase:

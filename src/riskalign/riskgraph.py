@@ -11,7 +11,7 @@ are public because register.validate_register runs them on a register too.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
+from collections import namedtuple
 
 from .concepts import ASSET_KINDS, ISSRMConcept
 from .errors import DuplicateIdError
@@ -37,16 +37,10 @@ class RelationKind(enum.Enum):
         return self.value
 
 
-class Entity(NamedTuple):
-    id: str
-    concept: ISSRMConcept
-    name: str = ""
-
-
-class Relation(NamedTuple):
-    kind: RelationKind
-    source: str
-    target: str
+# id: str; concept: ISSRMConcept; name: str = ""
+Entity = namedtuple("Entity", "id concept name", defaults=("",))
+# kind: RelationKind; source, target: entity ids (str)
+Relation = namedtuple("Relation", "kind source target")
 
 
 class Severity(enum.Enum):
@@ -83,16 +77,15 @@ SEVERITY_BY_CODE: dict[str, Severity] = {
 }
 
 
-class Violation(NamedTuple):
-    """One structural finding.
+class Violation(namedtuple("Violation", "code subjects message", defaults=("",))):
+    """One structural finding: code: str; subjects: tuple[str, ...];
+    message: str = "".
 
     Identity is (code, subjects) only; the message is presentation and never
     affects equality, hashing or sort_key.
     """
 
-    code: str
-    subjects: tuple[str, ...]
-    message: str = ""
+    __slots__ = ()
 
     def __eq__(self, other: object) -> bool:
         return type(other) is Violation and self.sort_key() == other.sort_key()

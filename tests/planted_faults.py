@@ -205,6 +205,20 @@ FAULTS = [
     Fault("export lets recordio's bare ValueError out", "src/riskalign/eamodel.py",
           "except ValueError:  # recordio's line break error",
           "except KeyError:  # recordio's line break error", ("tests/test_eamodel.py",)),
+    # one row per regular expression replaced by str methods, and the records' slots
+    Fault("a non-ASCII capital counts as a camel-case boundary",
+          "src/riskalign/archimate_xml.py",
+          '" " + char if char in _CAPITALS', '" " + char if char.isupper()',
+          ("tests/test_str_patterns.py",)),
+    Fault("the word test drops \"_\"", "src/riskalign/mappings.py",
+          'text.replace("_", "a").isalnum()', "text.isalnum()",
+          ("tests/test_str_patterns.py",)),
+    Fault("a free-standing removal swallows nested parentheses",
+          "src/riskalign/mappings.py",
+          '" " + rest if close', '" " + piece.rpartition(")")[2] if close',
+          ("tests/test_str_patterns.py",)),
+    Fault("a record subclass lacks __slots__ = ()", "src/riskalign/riskgraph.py",
+          "__slots__ = ()", "pass", ("tests/test_record_contract.py",)),
 ]
 
 

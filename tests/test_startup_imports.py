@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import riskalign
 
-from .launchers import run_python
+from .launchers import child_env, run_python
 from .test_cli_golden import GOLDEN, GOLDEN_ESCAPED, GOLDEN_USAGE, load_golden, resolve
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -247,3 +249,40 @@ def test_no_call_loads_argparse_gettext_or_locale():
     assert "riskalign.usage" not in after_golden  # only help and usage errors load it
     assert "riskalign.usage" in after_usage
     assert not set(after_usage) & {"argparse", "gettext", "locale"}
+
+
+def test_no_command_loads_typing_re_contextlib_or_warnings_without_site(tmp_path):
+    """Under `python -S`, no subcommand loads typing, re, contextlib or warnings.
+
+    Without -S, site loads typing and re before the CLI runs, so the check
+    would pass on any code. The child calls cli.main, as the console script
+    does, and not `python -m riskalign.cli`: runpy itself loads contextlib
+    and warnings.
+    """
+    out = str(tmp_path / "out.txt")
+    steps = []
+    for model in (TAB, XML):
+        lab = ["--model", model, "--ruleset", "archimate21", "--overlay", OVERLAY]
+        steps += [
+            ["import", "--model", model],
+            ["classify", *lab],
+            ["review", *lab],
+            ["validate", *lab, "--register", REGISTER],
+            ["report", "unmapped", *lab],
+            ["report", "coverage", *lab, "--register", REGISTER],
+            ["trace", "r1", *lab, "--register", REGISTER],
+            ["query", "supports", "dev-tablet", *lab],
+            ["query", "facts", "dev-tablet", *lab],
+            ["query", "neighbors", "dev-tablet", *lab],
+        ]
+    code = STEPS_CHILD.format(steps=[[*step, "--out", out] for step in steps])
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == len(steps) == 20
+    for step, line in zip(steps, lines):
+        code, modules = ast.literal_eval(line)
+        assert code == 0, step
+        assert "riskalign.cli" in modules
+        assert not set(modules) & {"typing", "re", "contextlib", "warnings"}, step
