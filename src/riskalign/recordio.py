@@ -34,29 +34,6 @@ def escape_item(value: str) -> str:
     )
 
 
-def unescape(value: str) -> str:
-    """Remove one level of backslash escaping."""
-    if "\n" in value:
-        raise ValueError(_LINE_BREAK)
-    if "\\" not in value:
-        return value
-    return value.replace("\\\\", "\n").replace("\\", "").replace("\n", "\\")
-
-
-def split_escaped(value: str, sep: str) -> list[str]:
-    """Split on unescaped sep ("|", ";" or "="), keeping escapes in the pieces."""
-    if "\n" in value:
-        raise ValueError(_LINE_BREAK)
-    if "\\" not in value:
-        return value.split(sep)
-    escaped_sep = "\\" + sep
-    coded = value.replace("\\\\", "\n0").replace(escaped_sep, "\n1")
-    return [
-        piece.replace("\n1", escaped_sep).replace("\n0", "\\\\") if "\n" in piece else piece
-        for piece in coded.split(sep)
-    ]
-
-
 def join_record(fields: list[str] | tuple[str, ...]) -> str:
     """One record line; only one with a backslash, pipe or line break in a field is escaped."""
     line = "|".join(fields)
@@ -132,20 +109,31 @@ def format_attrs(attrs: dict[str, str]) -> str:
 
 def parse_attrs(field: str, lineno: int | None = None) -> dict[str, str]:
     """Parse a k=v;k=v attribute field. Empty input means no attributes."""
+    if "\n" in field:
+        raise ValueError(_LINE_BREAK)
     if not field:
         return {}
+    if "\\" in field:
+        # escaped "\\", ";" and "=" become tokens, as in _split_line
+        field = (field.replace("\\\\", "\n0").replace("\\;", "\n1")
+                 .replace("\\=", "\n2").replace("\\", "").replace("\n0", "\\"))
     attrs: dict[str, str] = {}
-    for item in split_escaped(field, ";"):
-        parts = split_escaped(item, "=")
+    for item in field.split(";"):
+        parts = item.split("=")
         if len(parts) != 2:
-            raise LineError(f"malformed attribute {unescape(item)!r}", lineno)
-        key, value = unescape(parts[0]), unescape(parts[1])
+            raise LineError(f"malformed attribute {_decoded(item)!r}", lineno)
+        key, value = _decoded(parts[0]), _decoded(parts[1])
         if not key:
             raise LineError("attribute with empty key", lineno)
         if key in attrs:
             raise LineError(f"duplicate attribute key {key!r}", lineno)
         attrs[key] = value
     return attrs
+
+
+def _decoded(piece: str) -> str:
+    """An attribute item, key or value with its coded ";" and "=" restored."""
+    return piece.replace("\n1", ";").replace("\n2", "=") if "\n" in piece else piece
 
 
 def _reject_newline(value: str) -> None:

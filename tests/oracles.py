@@ -1068,6 +1068,14 @@ def classify_model_per_element(ruleset: Ruleset, model: EAModel) -> Classificati
 # --- record readers and writers one character or one field at a time ---------------
 
 
+def outcome(func, *args):
+    """func's result, or its exception's type, message and line."""
+    try:
+        return func(*args)
+    except (LineError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
 def unescape_by_char(value: str) -> str:
     """Remove one level of backslash escaping."""
     if "\\" not in value:

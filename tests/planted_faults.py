@@ -205,6 +205,20 @@ FAULTS = [
     Fault("export lets recordio's bare ValueError out", "src/riskalign/eamodel.py",
           "except ValueError:  # recordio's line break error",
           "except KeyError:  # recordio's line break error", ("tests/test_eamodel.py",)),
+    # one row per token of parse_attrs' coding; restoring "\n0" after the split
+    # instead of before it reads the same, so no test can tell it apart
+    Fault("parse_attrs restores an escaped backslash before dropping the others",
+          "src/riskalign/recordio.py",
+          '.replace("\\\\", "").replace("\\n0", "\\\\"))',
+          '.replace("\\n0", "\\\\").replace("\\\\", ""))',
+          ("tests/test_recordio.py", "tests/test_recordio_reference.py")),
+    Fault("parse_attrs leaves an escaped \"=\" uncoded", "src/riskalign/recordio.py",
+          '.replace("\\\\=", "\\n2")', "",
+          ("tests/test_recordio.py", "tests/test_recordio_reference.py")),
+    Fault("_decoded swaps \";\" and \"=\"", "src/riskalign/recordio.py",
+          'piece.replace("\\n1", ";").replace("\\n2", "=")',
+          'piece.replace("\\n1", "=").replace("\\n2", ";")',
+          ("tests/test_recordio.py", "tests/test_recordio_reference.py")),
     # one row per regular expression replaced by str methods, and the records' slots
     Fault("a non-ASCII capital counts as a camel-case boundary",
           "src/riskalign/archimate_xml.py",

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from riskalign import recordio
 from riskalign.errors import LineError
 
-from .oracles import iter_records_by_char, split_escaped_by_char
+from .oracles import iter_records_by_char, outcome, parse_attrs_by_char
 
 # Single-line text; the container format reserves newlines as record breaks.
 field_text = st.text(
@@ -14,7 +14,7 @@ field_text = st.text(
 
 @given(field_text)
 def test_field_escape_round_trip(text):
-    assert recordio.unescape(recordio.escape_field(text)) == text
+    assert recordio.split_record(recordio.escape_field(text)) == [text]
 
 
 @given(field_text)
@@ -74,9 +74,10 @@ def test_plain_lines_split_like_split_record(line):
         assert records == [(1, recordio.split_record(line))]
 
 
-@given(plain_text, st.sampled_from(";="))
-def test_plain_attribute_fields_split_like_split_escaped(field, sep):
-    assert recordio.split_escaped(field, sep) == split_escaped_by_char(field, sep)
+@given(plain_text)
+def test_plain_attribute_fields_split_like_split_escaped(field):
+    # the reference splits with split_escaped_by_char
+    assert outcome(recordio.parse_attrs, field, 2) == outcome(parse_attrs_by_char, field, 2)
 
 
 def test_attrs_with_reserved_characters():
