@@ -10,13 +10,12 @@ subtype, or reject candidates.
 
 from __future__ import annotations
 
-import enum
 from collections import defaultdict, namedtuple
 from collections.abc import Mapping
 from functools import cache, cached_property, partial
 from operator import itemgetter
 
-from .concepts import ISSRMConcept, parse_concept
+from .concepts import ISSRMConcept, Vocabulary, parse_concept
 from .eamodel import EAElement, EAModel
 from .errors import (
     FrameworkMismatchError,
@@ -42,14 +41,11 @@ from .mappings import (
 from . import recordio
 
 
-class Tier(enum.Enum):
+class Tier(Vocabulary):
     DEFINITE = "definite"
     CANDIDATE = "candidate"
     RELATED = "related"
     ANNOTATION = "annotation"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 def tier_of(mapping_type: MappingType, target: TargetSpec) -> Tier:
@@ -427,17 +423,17 @@ def render_unmapped_records(entries: list[UnmappedEntry]) -> str:
 
 def _fact_cells(facts: tuple[ClassificationFact, ...]) -> list[tuple[str, ...]]:
     """The target, mapping type, tier and provenance texts of each fact. Facts
-    share few distinct cells, each rendered once and keyed by the ids of the
-    objects the facts keep alive, so no enum member is hashed per fact."""
-    rendered: dict[tuple[int, int, int, str, int], tuple[str, ...]] = {}
+    share few distinct cells, each rendered once, keyed by the fact's fields
+    from target to row."""
+    rendered: dict[tuple, tuple[str, ...]] = {}
     cells = []
     for fact in facts:
-        _, target, mapping_type, tier, framework, row, _ = fact
-        key = (id(target), id(mapping_type), id(tier), framework, row)
+        key = fact[1:6]
         cell = rendered.get(key)
         if cell is None:
-            cell = rendered[key] = (serialize_target(target), str(mapping_type),
-                                    str(tier), fact.provenance)
+            cell = rendered[key] = (serialize_target(fact.target),
+                                    str(fact.mapping_type), str(fact.tier),
+                                    fact.provenance)
         cells.append(cell)
     return cells
 

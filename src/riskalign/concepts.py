@@ -12,7 +12,18 @@ import enum
 from collections import namedtuple
 
 
-class ISSRMConcept(enum.Enum):
+class Vocabulary(enum.Enum):
+    """Base of the fixed vocabularies: a member prints as its value and hashes
+    by identity in C, not by name in Python as Enum does. Members are
+    singletons compared by identity, so an identity hash keeps to equality."""
+
+    __hash__ = object.__hash__
+
+    def __str__(self) -> str:
+        return self.value
+
+
+class ISSRMConcept(Vocabulary):
     """Canonical concept names of the risk management domain model."""
 
     ASSET = "Asset"
@@ -31,9 +42,6 @@ class ISSRMConcept(enum.Enum):
     CONTROL = "Control"
     SECURITY_OBJECTIVE = "SecurityObjective"
     ATTRIBUTE_ANNOTATION = "AttributeAnnotation"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 # concept: ISSRMConcept; category: str, one of the four below

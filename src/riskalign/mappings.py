@@ -19,16 +19,15 @@ non-standard type. Condition is blank or <key>=<value>.
 
 from __future__ import annotations
 
-import enum
 from collections import namedtuple
 
-from .concepts import ISSRMConcept, parse_concept
+from .concepts import ISSRMConcept, Vocabulary, parse_concept
 from .eamodel import check_framework, normalize_name
 from .errors import RulesetFormatError, UnknownFrameworkError
 from . import recordio
 
 
-class MappingKind(enum.Enum):
+class MappingKind(Vocabulary):
     EQUIVALENCE = "equivalence"
     GENERALISATION = "generalisation"
     SPECIALISATION = "specialisation"

@@ -10,15 +10,14 @@ are public because register.validate_register runs them on a register too.
 
 from __future__ import annotations
 
-import enum
 from collections import namedtuple
 
-from .concepts import ASSET_KINDS, ISSRMConcept
+from .concepts import ASSET_KINDS, ISSRMConcept, Vocabulary
 from .errors import DuplicateIdError
 from . import recordio
 
 
-class RelationKind(enum.Enum):
+class RelationKind(Vocabulary):
     SUPPORTS = "supports"
     CONSTRAINS = "constrains"
     TARGETS = "targets"
@@ -33,9 +32,6 @@ class RelationKind(enum.Enum):
     MITIGATES = "mitigates"
     IMPLEMENTS = "implements"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 # id: str; concept: ISSRMConcept; name: str = ""
 Entity = namedtuple("Entity", "id concept name", defaults=("",))
@@ -43,12 +39,9 @@ Entity = namedtuple("Entity", "id concept name", defaults=("",))
 Relation = namedtuple("Relation", "kind source target")
 
 
-class Severity(enum.Enum):
+class Severity(Vocabulary):
     ERROR = "ERROR"
     WARN = "WARN"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 # Every violation code the validators can emit, with its severity.
@@ -105,9 +98,7 @@ class Violation(namedtuple("Violation", "code subjects message", defaults=("",))
 
 
 # Endpoint kind constraints per relation kind. The target-side code is
-# specialized where a named rule exists for that relation. Kinds sit in
-# tuples, so membership compares members by identity instead of hashing
-# them through Enum.__hash__, a Python function before 3.12.
+# specialized where a named rule exists for that relation.
 _TARGET = "REL_TARGET_KIND"
 _ENDPOINT_RULES: dict[
     RelationKind,
@@ -315,7 +306,6 @@ def check_whole(found: set[Violation], whole_id: str, concept: ISSRMConcept,
                 part_concepts: list[ISSRMConcept]) -> None:
     """Add to found the PART_OF_RULES findings of a whole whose valid parts have
     part_concepts; callers gate the existence rules by passing some part."""
-    # list.count compares concepts by identity, without hashing them.
     for part, whole, word, multi_code, missing_code in PART_OF_RULES:
         if whole is not concept:
             continue

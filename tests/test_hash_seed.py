@@ -1,8 +1,10 @@
 """CLI output does not depend on the interpreter's string hash seed.
 
-The classification indexes are dicts of sets and frozensets keyed by
-strings and enum members, whose iteration order changes with
-PYTHONHASHSEED. Each command runs as a fresh `python -m riskalign.cli`
+The classification indexes are dicts of sets and frozensets of strings and
+vocabulary members. A set of strings iterates in an order that changes with
+PYTHONHASHSEED; members hash by identity, so a set of them iterates in an
+order that follows their addresses and may change from one process to the
+next under any seed. Each command runs as a fresh `python -m riskalign.cli`
 under two fixed seeds and must print the same bytes and exit the same way.
 """
 

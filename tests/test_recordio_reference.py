@@ -53,14 +53,14 @@ def read_at(sep, split, parse, value):
 
 
 @pytest.mark.parametrize("sep", "|;=")
-def test_split_escaped_matches_reference(strings, sep):
+def test_value_at_each_separator_matches_reference(strings, sep):
     for value in strings:
         assert (outcome(read_at, sep, recordio.split_record, recordio.parse_attrs, value)
                 == outcome(read_at, sep, oracles.split_record_by_char,
                            oracles.parse_attrs_by_char, value)), value
 
 
-def test_unescape_matches_reference(strings):
+def test_attribute_value_matches_reference(strings):
     """Each string as one value, raw and escaped for the attribute layer."""
     for value in strings:
         assert (outcome(recordio.parse_attrs, "k=" + value, 5)
