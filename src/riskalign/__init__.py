@@ -74,7 +74,7 @@ _HOMES = {
         "validate_structure",
     ),
 }
-_SUBMODULES = frozenset({*_HOMES, "cli", "recordio", "usage"})
+_SUBMODULES = frozenset({*_HOMES, "cli", "recordio"})
 _EXPORTS = {name: module for module, names in _HOMES.items() for name in names}
 
 __all__ = list(_EXPORTS)

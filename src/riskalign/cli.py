@@ -203,14 +203,28 @@ def _usage_exit(name: str, message: str | None = None) -> NoReturn:
     """Write help on the top level (no name) or a command to stdout and exit
     0; given a message, write the usage line and one "<prog>: error:" line
     to stderr and exit 2."""
-    from .usage import usage_text  # only help and usage errors load it
+    _, about, args = _COMMANDS.get(name, _TOP)
+    prog = f"riskalign {name}".rstrip()
+    words = [_word(arg) for arg in sorted(args, key=lambda arg: arg[0][0] != "-")]
+    usage = " ".join([f"usage: {prog} [-h]", *words] + ["..."] * (not name))
+    if message is not None:
+        _note(f"{usage}\n{prog}: error: {message}")
+        raise SystemExit(2)
+    rows = [(_word(arg), arg[1] or "") for arg in (_HELP, *args)]
+    rows += [(command, spec[1]) for command, spec in _COMMANDS.items() if not name]
+    text = "".join(f"  {word:<23} {line}".rstrip() + "\n" for word, line in rows)
+    _emit(f"{usage}\n\n{about}\n\n{text}")
+    raise SystemExit(0)
 
-    text = usage_text(name, message, _COMMANDS, _TOP, _HELP)
-    if message is None:
-        _emit(text)
-        raise SystemExit(0)
-    _note(text.removesuffix("\n"))
-    raise SystemExit(2)
+
+def _word(arg: tuple) -> str:
+    """The argument as usage and help show it."""
+    name, _, required, choices, default = arg
+    if name[0] != "-":
+        return "{%s}" % ",".join(choices) if choices else name
+    meta = "{%s}" % ",".join(choices) if choices else _dest(arg).upper()
+    word = name if default is False else f"{name} {meta}"
+    return word if required else f"[{word}]"
 
 
 def _dest(arg: tuple) -> str:

@@ -240,6 +240,17 @@ FAULTS = [
     Fault("the facts reports' cell memo drops the row", "src/riskalign/classify.py",
           "key = fact[1:6]", "key = fact[1:5]",
           ("tests/test_classify.py", "tests/test_cli_golden.py")),
+    # help and usage errors, rendered from the command table
+    Fault("an option's metavar keeps its dest's case", "src/riskalign/cli.py",
+          "_dest(arg).upper()", "_dest(arg)",
+          ("tests/test_cli_golden.py", "tests/test_cli_parser.py")),
+    Fault("an optional argument is shown without brackets", "src/riskalign/cli.py",
+          'return word if required else f"[{word}]"', "return word",
+          ("tests/test_cli_golden.py", "tests/test_cli_parser.py")),
+    Fault("a usage error goes to stdout", "src/riskalign/cli.py",
+          '_note(f"{usage}\\n{prog}: error: {message}")',
+          '_emit(f"{usage}\\n{prog}: error: {message}\\n")',
+          ("tests/test_cli_golden.py", "tests/test_cli_parser.py")),
 ]
 
 

@@ -57,7 +57,7 @@ EXPORTS = {
         "validate_structure",
     ],
 }
-SUBMODULES = [*EXPORTS, "cli", "recordio", "usage"]
+SUBMODULES = [*EXPORTS, "cli", "recordio"]
 
 STEPS_CHILD = """\
 import sys
@@ -190,6 +190,8 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         riskalign.no_such_name  # noqa: B018
     assert not hasattr(riskalign, "validate_structures")
+    with pytest.raises(AttributeError, match="usage"):
+        riskalign.usage  # noqa: B018  cli renders help and usage errors itself
 
 
 def test_no_command_loads_dataclasses_or_inspect(tmp_path):
@@ -246,9 +248,34 @@ def test_no_call_loads_argparse_gettext_or_locale():
     assert "riskalign.archimate_xml" in after_golden
     loaded = after_golden + after_usage
     assert not {name for name in loaded if name.partition(".")[0] == "xml"}
-    assert "riskalign.usage" not in after_golden  # only help and usage errors load it
-    assert "riskalign.usage" in after_usage
     assert not set(after_usage) & {"argparse", "gettext", "locale"}
+
+
+def test_help_and_usage_errors_load_only_the_clean_call_modules():
+    # cli renders help and usage errors from its command table, so they load
+    # no riskalign module that `import --model x.tab` does not.
+    usage_cases = load_golden(GOLDEN_USAGE).values()
+    usage = [case["argv"] for case in usage_cases]
+    code = (
+        "import contextlib, io, sys\nbare = set(sys.modules)\n"
+        "from riskalign import cli\n"
+        "codes = []\n"
+        f"for argv in {usage!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        try:\n"
+        "            codes.append(cli.main(argv))\n"
+        "        except SystemExit as exc:\n"
+        "            codes.append(exc.code)\n"
+        "print(repr((codes, sorted(set(sys.modules) - bare))))"
+    )
+    codes, loaded = ast.literal_eval(run_child(code))
+    assert codes == [case["exit"] for case in usage_cases]
+    assert set(codes) == {0, 2}
+    assert ours(set(loaded)) == {
+        "riskalign", "riskalign.cli", "riskalign.eamodel", "riskalign.errors",
+        "riskalign.recordio",
+    }
 
 
 def test_no_command_loads_typing_re_contextlib_or_warnings_without_site(tmp_path):
